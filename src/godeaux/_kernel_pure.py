@@ -3,8 +3,10 @@
 The compiled extension (``godeaux._kernel``) mirrors this module
 step-for-step — same pair selection, same pruning, same reduction,
 same canonical output — so the two backends are interchangeable and
-byte-for-byte comparable.  Tracked (cofactor-recording) variants exist
-only here; the compiled backend accelerates the untracked hot paths.
+byte-for-byte comparable.  Reduction and Buchberger are each written
+once; recording quotients and cofactors over the inputs is an option of
+that one path (``normal_form_tracked``, ``buchberger_tracked``), offered
+only here.  The compiled backend accelerates the untracked hot paths.
 
 Boundary format: a polynomial is a list of ``(exponent_tuple, coeff)``
 pairs with distinct exponents and coefficients in [1, p).  Outputs are
@@ -57,8 +59,11 @@ def _neg(key):
 def _nf(fdict, reducers, key, p):
     """Full normal form of ``fdict`` modulo ``reducers``.
 
-    ``reducers``: list of (lm, lc_inv, terms_dict) scanned in order; the
-    first dividing leading monomial wins.  Returns a fresh dict.
+    ``reducers``: list of (lm, lc_inv, terms_dict, quotient) scanned in
+    order; the first dividing leading monomial wins.  ``quotient`` is a
+    dict that accumulates that reducer's quotient in place, so that
+    f = sum(quotient_i * g_i) + r, or None when quotients are not wanted.
+    Returns the remainder as a fresh dict.
     """
     work = dict(fdict)
     heap = [(_neg(key(m)), m) for m in work]
@@ -69,18 +74,21 @@ def _nf(fdict, reducers, key, p):
         c = work.get(m)
         if not c:
             continue
-        hit = None
-        for lm, lcinv, g in reducers:
+        for lm, lcinv, g, qd in reducers:
             if _divides(lm, m):
-                hit = (lm, lcinv, g)
                 break
-        if hit is None:
+        else:
             out[m] = c
             del work[m]
             continue
-        lm, lcinv, g = hit
         q = tuple(a - b for a, b in zip(m, lm))
         factor = (c * lcinv) % p
+        if qd is not None:
+            s = (qd.get(q, 0) + factor) % p
+            if s:
+                qd[q] = s
+            else:
+                qd.pop(q, None)
         for e2, c2 in g.items():
             e = tuple(a + b for a, b in zip(q, e2))
             prev = work.get(e, 0)
@@ -92,49 +100,6 @@ def _nf(fdict, reducers, key, p):
             else:
                 work.pop(e, None)
     return out
-
-
-def _nf_tracked(fdict, reducers, key, p):
-    """Normal form plus quotients: f = sum(q_i * g_i) + r."""
-    work = dict(fdict)
-    heap = [(_neg(key(m)), m) for m in work]
-    heapq.heapify(heap)
-    out = {}
-    quots = [dict() for _ in reducers]
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = work.get(m)
-        if not c:
-            continue
-        hit = None
-        for idx, (lm, lcinv, g) in enumerate(reducers):
-            if _divides(lm, m):
-                hit = (idx, lm, lcinv, g)
-                break
-        if hit is None:
-            out[m] = c
-            del work[m]
-            continue
-        idx, lm, lcinv, g = hit
-        q = tuple(a - b for a, b in zip(m, lm))
-        factor = (c * lcinv) % p
-        qd = quots[idx]
-        s = (qd.get(q, 0) + factor) % p
-        if s:
-            qd[q] = s
-        else:
-            qd.pop(q, None)
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(q, e2))
-            prev = work.get(e, 0)
-            s = (prev - factor * c2) % p
-            if s:
-                if prev == 0:
-                    heapq.heappush(heap, (_neg(key(e)), e))
-                work[e] = s
-            else:
-                work.pop(e, None)
-    return out, quots
 
 
 # -- dict helpers ---------------------------------------------------------------
@@ -208,6 +173,15 @@ class _PairQueue:
         return None
 
 
+def _sub_quotients(rep, reducers, reps, p):
+    """rep -= sum(quotient_b * reps[b]), over the reducers' quotient dicts."""
+    for (_, _, _, qd), rb in zip(reducers, reps):
+        for q, c in qd.items():
+            for k, r in enumerate(rb):
+                if r:
+                    _axpy(rep[k], p - c, q, r, p)
+
+
 def _reduce_basis(basis, lms, key, p, reps=None):
     """Minimalize and tail-reduce to the canonical reduced basis.
 
@@ -225,21 +199,12 @@ def _reduce_basis(basis, lms, key, p, reps=None):
     if reps is not None:
         reps = [reps[i] for i in kept]
     for idx in range(len(basis)):
-        others = [(lms[j], 1, basis[j]) for j in range(len(basis)) if j != idx]
-        if reps is None:
-            basis[idx] = _nf(basis[idx], others, key, p)
-        else:
-            basis[idx], quots = _nf_tracked(basis[idx], others, key, p)
-            rep = reps[idx]
-            slot = 0
-            for j in range(len(basis)):
-                if j == idx:
-                    continue
-                for q, c in quots[slot].items():
-                    for k, other in enumerate(reps[j]):
-                        if other:
-                            _axpy(rep[k], p - c, q, other, p)
-                slot += 1
+        others = [j for j in range(len(basis)) if j != idx]
+        reducers = [(lms[j], 1, basis[j], None if reps is None else {})
+                    for j in others]
+        basis[idx] = _nf(basis[idx], reducers, key, p)
+        if reps is not None:
+            _sub_quotients(reps[idx], reducers, [reps[j] for j in others], p)
     final = sorted(range(len(basis)), key=lambda i: key(lms[i]), reverse=True)
     basis = [basis[i] for i in final]
     if reps is not None:
@@ -247,109 +212,15 @@ def _reduce_basis(basis, lms, key, p, reps=None):
     return basis, reps
 
 
-# -- public boundary --------------------------------------------------------------
+def _buchberger(gens_terms, nvars, p, key, budget, track):
+    """The one Buchberger loop; cofactors are carried only under ``track``.
 
-
-def _to_terms(d, key):
-    return [(e, d[e]) for e in sorted(d, key=key, reverse=True)]
-
-
-def normal_form(f_terms, gens_terms, nvars, p, kind, split=None):
-    key = _key_func(kind, split)
-    reducers = []
-    for terms in gens_terms:
-        d = dict(terms)
-        if not d:
-            continue
-        lm = max(d, key=key)
-        reducers.append((lm, pow(d[lm], p - 2, p), d))
-    r = _nf(dict(f_terms), reducers, key, p)
-    return _to_terms(r, key)
-
-
-def buchberger(gens_terms, nvars, p, kind, split=None, budget=None):
-    """Reduced Groebner basis and the processed-pair count."""
-    key = _key_func(kind, split)
-    zero_exps = (0,) * nvars
-    one_terms = [(zero_exps, 1)]
-
-    basis = []
-    lms = []
-    queue = _PairQueue(key)
-    pairs_processed = 0
-
-    def install(d):
-        lm = max(d, key=key)
-        lc = d[lm]
-        if lc != 1:
-            d = _scale(d, pow(lc, p - 2, p), p)
-        if _is_one(d):
-            return True
-        basis.append(d)
-        lms.append(lm)
-        queue.update(lms, len(basis) - 1)
-        return False
-
-    for terms in gens_terms:
-        d = dict(terms)
-        if not d:
-            continue
-        if install(d):
-            return [one_terms], pairs_processed
-
-    while True:
-        item = queue.pop()
-        if item is None:
-            break
-        if budget is not None and pairs_processed >= budget:
-            raise BudgetExceeded(pairs_processed, len(basis))
-        pairs_processed += 1
-        i, j, l = item
-        s = {}
-        _axpy(s, 1, tuple(a - b for a, b in zip(l, lms[i])), basis[i], p)
-        _axpy(s, p - 1, tuple(a - b for a, b in zip(l, lms[j])), basis[j], p)
-        reducers = [(lms[k], 1, basis[k]) for k in range(len(basis))]
-        r = _nf(s, reducers, key, p)
-        if r and install(r):
-            return [one_terms], pairs_processed
-
-    basis, _ = _reduce_basis(basis, lms, key, p)
-    return [_to_terms(d, key) for d in basis], pairs_processed
-
-
-def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
-    """Remainder plus per-generator quotients (aligned with the input)."""
-    key = _key_func(kind, split)
-    live = []
-    live_index = []
-    for i, terms in enumerate(gens_terms):
-        d = dict(terms)
-        if not d:
-            continue
-        lm = max(d, key=key)
-        live.append((lm, pow(d[lm], p - 2, p), d))
-        live_index.append(i)
-    r, quots_live = _nf_tracked(dict(f_terms), live, key, p)
-    quots = [[] for _ in gens_terms]
-    for slot, i in enumerate(live_index):
-        quots[i] = _to_terms(quots_live[slot], key)
-    return _to_terms(r, key), quots
-
-
-def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None,
-                       stop_on_unit=False):
-    """Buchberger with cofactor tracking over the original generators.
-
-    Returns ``(basis, reps, pairs_processed, unit_rep)``.  ``reps[k]``
-    expresses basis element k as cofactors over the inputs.  When 1 is
-    discovered and ``stop_on_unit`` is set, the run aborts immediately
-    with ``unit_rep`` (cofactors expressing 1) and no basis.
+    Returns ``(basis, reps, pairs_processed, unit_rep)`` as dicts.  When 1
+    is discovered the run stops at once with ``basis`` None and
+    ``unit_rep`` the cofactors expressing 1 over the inputs.  ``reps`` and
+    ``unit_rep`` are None when ``track`` is false.
     """
-    key = _key_func(kind, split)
-    gens = [dict(t) for t in gens_terms]
-    ngen = len(gens)
-    zero_exps = (0,) * nvars
-
+    ngen = len(gens_terms)
     basis = []
     lms = []
     reps = []
@@ -364,7 +235,8 @@ def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None,
         if lc != 1:
             inv = pow(lc, p - 2, p)
             d = _scale(d, inv, p)
-            rep = [_scale(r, inv, p) for r in rep]
+            if track:
+                rep = [_scale(r, inv, p) for r in rep]
         if _is_one(d):
             unit_rep = rep
             return True
@@ -374,17 +246,18 @@ def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None,
         queue.update(lms, len(basis) - 1)
         return False
 
-    unit_found = False
-    for k, g in enumerate(gens):
-        if not g:
+    for k, terms in enumerate(gens_terms):
+        d = dict(terms)
+        if not d:
             continue
-        rep = [dict() for _ in range(ngen)]
-        rep[k][zero_exps] = 1
-        if install(dict(g), rep):
-            unit_found = True
-            break
+        rep = None
+        if track:
+            rep = [dict() for _ in range(ngen)]
+            rep[k][(0,) * nvars] = 1
+        if install(d, rep):
+            return None, None, pairs_processed, unit_rep
 
-    while not unit_found:
+    while True:
         item = queue.pop()
         if item is None:
             break
@@ -397,30 +270,82 @@ def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None,
         s = {}
         _axpy(s, 1, qi, basis[i], p)
         _axpy(s, p - 1, qj, basis[j], p)
-        reducers = [(lms[k], 1, basis[k]) for k in range(len(basis))]
-        r, quots = _nf_tracked(s, reducers, key, p)
+        reducers = [(lms[k], 1, basis[k], {} if track else None)
+                    for k in range(len(basis))]
+        r = _nf(s, reducers, key, p)
         if not r:
             continue
-        rep = [dict() for _ in range(ngen)]
-        for k in range(ngen):
-            _axpy(rep[k], 1, qi, reps[i][k], p)
-            _axpy(rep[k], p - 1, qj, reps[j][k], p)
-        for b_idx, q in enumerate(quots):
-            for qexps, qc in q.items():
-                for k in range(ngen):
-                    if reps[b_idx][k]:
-                        _axpy(rep[k], p - qc, qexps, reps[b_idx][k], p)
+        rep = None
+        if track:
+            rep = [dict() for _ in range(ngen)]
+            for k in range(ngen):
+                _axpy(rep[k], 1, qi, reps[i][k], p)
+                _axpy(rep[k], p - 1, qj, reps[j][k], p)
+            _sub_quotients(rep, reducers, reps, p)
         if install(r, rep):
-            unit_found = True
+            return None, None, pairs_processed, unit_rep
 
-    if unit_found:
-        unit = [_to_terms(r, key) for r in unit_rep]
+    basis, reps = _reduce_basis(basis, lms, key, p, reps if track else None)
+    return basis, reps, pairs_processed, None
+
+
+# -- public boundary --------------------------------------------------------------
+
+
+def _to_terms(d, key):
+    return [(e, d[e]) for e in sorted(d, key=key, reverse=True)]
+
+
+def _reducers(gens_terms, key, p, quotients):
+    """Reducer tuples for the nonzero generators, in input order."""
+    out = []
+    for terms, qd in zip(gens_terms, quotients):
+        d = dict(terms)
+        if d:
+            lm = max(d, key=key)
+            out.append((lm, pow(d[lm], p - 2, p), d, qd))
+    return out
+
+
+def normal_form(f_terms, gens_terms, nvars, p, kind, split=None):
+    key = _key_func(kind, split)
+    reducers = _reducers(gens_terms, key, p, [None] * len(gens_terms))
+    return _to_terms(_nf(dict(f_terms), reducers, key, p), key)
+
+
+def buchberger(gens_terms, nvars, p, kind, split=None, budget=None):
+    """Reduced Groebner basis and the processed-pair count."""
+    key = _key_func(kind, split)
+    basis, _, pairs, _ = _buchberger(gens_terms, nvars, p, key, budget, False)
+    if basis is None:
+        return [[((0,) * nvars, 1)]], pairs
+    return [_to_terms(d, key) for d in basis], pairs
+
+
+def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
+    """Remainder plus per-generator quotients (aligned with the input)."""
+    key = _key_func(kind, split)
+    quots = [dict() for _ in gens_terms]
+    r = _nf(dict(f_terms), _reducers(gens_terms, key, p, quots), key, p)
+    return _to_terms(r, key), [_to_terms(q, key) for q in quots]
+
+
+def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None,
+                       stop_on_unit=False):
+    """Buchberger with cofactor tracking over the original generators.
+
+    Returns ``(basis, reps, pairs_processed, unit_rep)``.  ``reps[k]``
+    expresses basis element k as cofactors over the inputs.  When 1 is
+    discovered and ``stop_on_unit`` is set, the run aborts immediately
+    with ``unit_rep`` (cofactors expressing 1) and no basis.
+    """
+    key = _key_func(kind, split)
+    basis, reps, pairs, unit = _buchberger(gens_terms, nvars, p, key, budget,
+                                           True)
+    if basis is None:
+        unit = [_to_terms(r, key) for r in unit]
         if stop_on_unit:
-            return None, None, pairs_processed, unit
-        one = {zero_exps: 1}
-        return [_to_terms(one, key)], [unit], pairs_processed, None
-
-    basis, reps = _reduce_basis(basis, lms, key, p, reps)
-    basis_terms = [_to_terms(d, key) for d in basis]
+            return None, None, pairs, unit
+        return [[((0,) * nvars, 1)]], [unit], pairs, None
     reps_terms = [[_to_terms(r, key) for r in rep] for rep in reps]
-    return basis_terms, reps_terms, pairs_processed, None
+    return [_to_terms(d, key) for d in basis], reps_terms, pairs, None

@@ -238,14 +238,12 @@ def ideal_member(f: Polynomial, gens, budget: int | None = DEFAULT_BUDGET,
     by expansion.  Without, returns a bare bool.
     """
     if isinstance(gens, GroebnerBasis):
-        remainder = reduce(f, gens, backend_name=backend_name)
-        member = remainder.is_zero()
         if not witness:
-            return member
+            return reduce(f, gens, backend_name=backend_name).is_zero()
         r, quots = reduce_tracked(f, gens)
-        return member, CombinationWitness(target=f,
-                                          generators=gens.polynomials,
-                                          cofactors=quots, remainder=r)
+        return r.is_zero(), CombinationWitness(target=f,
+                                               generators=gens.polynomials,
+                                               cofactors=quots, remainder=r)
     gens = list(gens)
     if not witness:
         gb = buchberger(gens, budget=budget, backend_name=backend_name)
@@ -299,6 +297,12 @@ def eliminate(gens: Sequence[Polynomial], drop, budget: int | None = DEFAULT_BUD
     ideal, living in a fresh ring on the kept variables; it is complete
     for the intersection by the elimination property of block orders.
     """
+    return _eliminate(gens, drop, budget, backend_name)[0]
+
+
+def _eliminate(gens: Sequence[Polynomial], drop, budget: int | None,
+               backend_name: str | None) -> tuple[list[Polynomial], GroebnerBasis]:
+    """``eliminate`` plus the block-order basis it projected from."""
     gens = list(gens)
     ring = _common_ring(gens)
     drop_idx = sorted({ring.var_index(v) for v in drop})
@@ -324,7 +328,7 @@ def eliminate(gens: Sequence[Polynomial], drop, budget: int | None = DEFAULT_BUD
         if all(all(v == 0 for v in e[:nd]) for e in f._terms):
             out.append(Polynomial._raw(target, {e[nd:]: c
                                                 for e, c in f._terms.items()}))
-    return out
+    return out, gb
 
 
 def _frobenius_seeds(source_ring: PolyRing, target_ring: PolyRing,
@@ -384,8 +388,8 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
     """Kernel of the ring map sending each source variable to its image.
 
     Builds the graph ideal (source_var - image) in the combined ring with
-    the target variables leading, then eliminates them under a block
-    order.  Frobenius-power seeds (see ``_frobenius_seeds``) are added to
+    the target variables leading, then eliminates them as ``eliminate``
+    does.  Frobenius-power seeds (see ``_frobenius_seeds``) are added to
     the same ideal when available; they change nothing about the ideal
     and keep the pair count small on p-th-power subring instances.  Every
     returned generator is substitution-checked to actually vanish.
@@ -404,7 +408,7 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
 
     nt, ns = target_ring.nvars, source_ring.nvars
     combined = PolyRing(target_ring.variables + source_ring.variables,
-                        target_ring.p, block_order(nt))
+                        target_ring.p, DEGREVLEX)
 
     def lift_target(g: Polynomial) -> Polynomial:
         return Polynomial._raw(combined, {e + (0,) * ns: c
@@ -420,12 +424,8 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
     seeds = _frobenius_seeds(source_ring, target_ring, images) if seed else []
     graph.extend(lift_source(s) for s in seeds)
 
-    gb = buchberger(graph, budget=budget, backend_name=backend_name)
-    out = []
-    for f in gb.polynomials:
-        if all(all(v == 0 for v in e[:nt]) for e in f._terms):
-            out.append(Polynomial._raw(source_ring,
-                                       {e[nt:]: c for e, c in f._terms.items()}))
+    kept, gb = _eliminate(graph, range(nt), budget, backend_name)
+    out = [Polynomial._raw(source_ring, g._terms) for g in kept]
     for g in out:
         if not substitute(g, target_ring, images).is_zero():
             raise EngineError("internal error: eliminated generator fails the "

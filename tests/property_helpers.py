@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from godeaux import _kernel_pure
 from godeaux.backend import available_backends
 from godeaux.derivations import Derivation, apply, chart_transform, graded_kernel
 from godeaux.errors import BudgetExceeded
@@ -214,6 +215,45 @@ def cross_backend_mirror(n: int = 150):
     return cases, failures[:5]
 
 
+def tracked_mirror(n: int = 150):
+    """Pure kernel only: the cofactor-tracking run of Buchberger matches
+    the plain one (basis and pair count, or budget counts), and every
+    cofactor row expands back to its basis element over the inputs."""
+    rng = random.Random(909)
+    failures = []
+    lex_ring = PolyRing(("x", "y", "z"), 5, LEX)
+    for i in range(n):
+        if i % 3 == 0:
+            ring, max_terms, max_degree = lex_ring, 3, 2
+        else:
+            ring, max_terms, max_degree = _R3, 4, 3
+        gens = [_random_poly(rng, ring, max_terms, max_degree)
+                for _ in range(rng.randrange(2, 5))]
+        args = ([g.items_sorted() for g in gens], ring.nvars, ring.p,
+                ring.order.kind)
+        budget = 2 if i % 4 == 0 else 2000
+        try:
+            plain = _kernel_pure.buchberger(*args, budget=budget)
+        except BudgetExceeded as exc:
+            plain = ("budget", exc.pairs_processed, exc.basis_size)
+        try:
+            basis, reps, pairs, _ = _kernel_pure.buchberger_tracked(
+                *args, budget=budget)
+            tracked = (basis, pairs)
+        except BudgetExceeded as exc:
+            reps, tracked = [], ("budget", exc.pairs_processed, exc.basis_size)
+        if tracked != plain:
+            failures.append(f"case {i}: tracked and plain outcomes differ")
+            continue
+        for b, rep in zip(tracked[0], reps):
+            acc = ring.zero()
+            for r, g in zip(rep, gens):
+                acc = acc + ring.from_terms(dict(r)) * g
+            if acc != ring.from_terms(dict(b)):
+                failures.append(f"case {i}: cofactors do not expand back")
+    return n, failures[:5]
+
+
 SUITES = {
     "ring_axioms": ring_axioms,
     "leibniz": leibniz,
@@ -223,6 +263,7 @@ SUITES = {
     "kernel_closure": kernel_closure,
     "chart_compatibility": chart_compatibility,
     "cross_backend_mirror": cross_backend_mirror,
+    "tracked_mirror": tracked_mirror,
 }
 
 #: Suites the acceptance gate requires to reach CASE_TARGET cases.

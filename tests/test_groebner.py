@@ -2,6 +2,7 @@
 
 import pytest
 
+from godeaux import _kernel_pure
 from godeaux.errors import BudgetExceeded, ContextError
 from godeaux.fixtures import load_fixtures
 from godeaux.groebner import (buchberger, eliminate, ideal_member,
@@ -76,6 +77,16 @@ class TestBuchberger:
         assert gp.polynomials == gc.polynomials
         assert gp.pairs_processed == gc.pairs_processed
 
+    def test_tracked_unit_from_constant_input(self):
+        # 3 * 2 = 1 mod 5: the constant generator alone carries the unit
+        gens = [p2("x").items_sorted(), [], p2("3").items_sorted()]
+        unit = [[], [], [((0, 0), 2)]]
+        args = (gens, 2, 5, "degrevlex")
+        assert _kernel_pure.buchberger_tracked(*args, stop_on_unit=True) == \
+            (None, None, 0, unit)
+        assert _kernel_pure.buchberger_tracked(*args) == \
+            ([[((0, 0), 1)]], [unit], 0, None)
+
 
 class TestReduction:
     def test_spolynomial_cancels_leads(self):
@@ -105,6 +116,14 @@ class TestReduction:
             acc = acc + c * g
         assert acc == f
 
+    def test_reduce_tracked_zero_reducer_keeps_alignment(self):
+        gens = [p2("x^2 - y"), R2.zero(), p2("y^2 - 1")]
+        f = p2("x^4 + x*y + 2")
+        nf, cofs = reduce_tracked(f, gens)
+        assert len(cofs) == 3 and cofs[1].is_zero()
+        assert nf == reduce(f, gens)
+        assert nf + cofs[0] * gens[0] + cofs[2] * gens[2] == f
+
 
 class TestMembership:
     def test_member_with_witness(self):
@@ -118,6 +137,12 @@ class TestMembership:
         ok, wit = ideal_member(p2("x"), gens, witness=True)
         assert not ok and not wit.is_member
         assert wit.verify()  # identity still holds, remainder nonzero
+
+    def test_witness_with_zero_generator(self):
+        gens = [p2("x^2 - y"), R2.zero(), p2("y^2 - 1")]
+        ok, wit = ideal_member(p2("x^4 - 1"), gens, witness=True)
+        assert ok and wit.verify()
+        assert len(wit.cofactors) == 3 and wit.generators == tuple(gens)
 
     def test_bare_bool_form(self):
         assert ideal_member(p2("x^2 - y"), [p2("x^2 - y")]) is True

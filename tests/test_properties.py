@@ -55,6 +55,12 @@ def test_cross_backend_mirror(property_outcomes):
     assert failures == []
 
 
+def test_tracked_mirror(property_outcomes):
+    cases, failures = property_outcomes["tracked_mirror"]
+    assert cases >= 100
+    assert failures == []
+
+
 def test_every_required_suite_clean(property_outcomes):
     for name in property_helpers.REQUIRED_SUITES:
         cases, failures = property_outcomes[name]
