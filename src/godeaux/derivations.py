@@ -107,11 +107,7 @@ def chart_transform(delta: Derivation, chart,
         numerator = delta.images[j] * xi - ring.gen(j) * di
         if not numerator.is_zero() and numerator.total_degree() != 2:
             raise TransformError("chart numerator is not homogeneous of degree 2")
-        if numerator.is_zero():
-            zero_num = ring.zero()
-            chart_images.append((j, zero_num))
-        else:
-            chart_images.append((j, numerator))
+        chart_images.append((j, numerator))
     target_names = tuple(names) if names is not None else (
         ring.variables[:i] + ring.variables[i + 1:])
     if len(target_names) != ring.nvars - 1:

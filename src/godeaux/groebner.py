@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 
 from . import backend as _backend
 from .errors import ContextError, EngineError
-from .rings import (DEGREVLEX, MonomialOrder, PolyRing, Polynomial,
-                    block_order, substitute)
+from .rings import DEGREVLEX, PolyRing, Polynomial, block_order, substitute
 
 DEFAULT_BUDGET = 100000
 

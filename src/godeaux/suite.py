@@ -21,8 +21,8 @@ from .derivations import (apply, chart_transform, fixed_locus_ideal,
 from .errors import BudgetExceeded, EngineError
 from .fixtures import CHARTS, FixtureSet, load_fixtures, patched_text
 from .groebner import (DEFAULT_BUDGET, SMOOTH, SMOOTH_ON_LOCUS,
-                       CombinationWitness, ideal_member, jacobian_smoothness,
-                       radical_member, ring_map_kernel)
+                       CombinationWitness, SmoothnessCertificate, ideal_member,
+                       jacobian_smoothness, radical_member, ring_map_kernel)
 from .rings import (Polynomial, dehomogenize, frobenius_power,
                     laurent_normalize, parse_poly, substitute)
 
@@ -321,20 +321,36 @@ def _check_c7(ctx: SuiteContext) -> dict:
     return witness
 
 
-def _smoothness_witness(cert) -> dict:
-    out = {
+#: Expected verdict and locus variables of each smoothness check; the
+#: checks and their re-verification both read this table.
+_SMOOTHNESS = {"C8": (SMOOTH, ()), "C9": (SMOOTH_ON_LOCUS, ("w",)),
+               "C10": (SMOOTH_ON_LOCUS, ("v", "w"))}
+
+
+def _certify_smoothness(ctx: SuiteContext, check_id: str, gens,
+                        **extra) -> dict:
+    """Jacobian certificate of one chart presentation, as a check witness."""
+    verdict, names = _SMOOTHNESS[check_id]
+    ring = ctx.fx.presentation_ring
+    cert = jacobian_smoothness(gens, _ADJUNCTION_CODIM,
+                               locus=[ring.gen(n) for n in names],
+                               budget=ctx.budget, backend_name=ctx.backend_name)
+    witness = {
         "verdict": cert.verdict,
         "codim": cert.codim,
         "relations": [str(g) for g in cert.generators],
         "minors": [str(m) for m in cert.minors],
         "locus": [str(f) for f in cert.locus],
         "pairs_processed": cert.pairs_processed,
+        **extra,
     }
     if cert.unit_witness is not None:
-        out["unit_witness"] = _wit_json(cert.unit_witness)
+        witness["unit_witness"] = _wit_json(cert.unit_witness)
     if cert.residual is not None:
-        out["residual"] = [str(g) for g in cert.residual]
-    return out
+        witness["residual"] = [str(g) for g in cert.residual]
+    if cert.verdict != verdict or not cert.verify():
+        raise _Failure(witness)
+    return witness
 
 
 def _check_c8(ctx: SuiteContext) -> dict:
@@ -344,31 +360,16 @@ def _check_c8(ctx: SuiteContext) -> dict:
     except BudgetExceeded:
         gens = list(ctx.fx.presentation_rels)
         source = "expected relations (elimination exceeded budget)"
-    cert = jacobian_smoothness(gens, _ADJUNCTION_CODIM, budget=ctx.budget,
-                               backend_name=ctx.backend_name)
-    witness = _smoothness_witness(cert)
-    witness["relations_source"] = source
-    if cert.verdict != SMOOTH or not cert.verify():
-        raise _Failure(witness)
-    return witness
+    return _certify_smoothness(ctx, "C8", gens, relations_source=source)
 
 
 def _check_c9(ctx: SuiteContext) -> dict:
-    fx = ctx.fx
-    ring = fx.presentation_ring
-    kp = ring_map_kernel(ring, ctx.chart_field("x2").ring,
+    kp = ring_map_kernel(ctx.fx.presentation_ring, ctx.chart_field("x2").ring,
                          ctx.adjunction_images("x2"), budget=ctx.budget,
                          backend_name=ctx.backend_name)
-    locus = (ring.gen("w"),)
-    cert = jacobian_smoothness(list(kp.generators), _ADJUNCTION_CODIM,
-                               locus=locus, budget=ctx.budget,
-                               backend_name=ctx.backend_name)
-    witness = _smoothness_witness(cert)
-    witness["elimination_pairs"] = kp.pairs_processed
-    witness["assumed_background"] = _BACKGROUND_NOTE
-    if cert.verdict != SMOOTH_ON_LOCUS or not cert.verify():
-        raise _Failure(witness)
-    return witness
+    return _certify_smoothness(ctx, "C9", list(kp.generators),
+                               elimination_pairs=kp.pairs_processed,
+                               assumed_background=_BACKGROUND_NOTE)
 
 
 def _fifth_power_relations(ctx: SuiteContext, chart: str):
@@ -402,19 +403,12 @@ def _fifth_power_relations(ctx: SuiteContext, chart: str):
 
 
 def _check_c10(ctx: SuiteContext) -> dict:
-    fx = ctx.fx
-    ring = fx.presentation_ring
     relations, certified = _fifth_power_relations(ctx, "x1")
-    locus = (ring.gen("v"), ring.gen("w"))
-    cert = jacobian_smoothness(relations, _ADJUNCTION_CODIM, locus=locus,
-                               budget=ctx.budget,
-                               backend_name=ctx.backend_name)
-    witness = _smoothness_witness(cert)
-    witness["certified_by_substitution"] = certified
-    witness["completeness_note"] = _COMPLETENESS_NOTE
-    witness["assumed_background"] = _BACKGROUND_NOTE
-    if not all(certified) or cert.verdict != SMOOTH_ON_LOCUS \
-            or not cert.verify():
+    witness = _certify_smoothness(ctx, "C10", relations,
+                                  certified_by_substitution=certified,
+                                  completeness_note=_COMPLETENESS_NOTE,
+                                  assumed_background=_BACKGROUND_NOTE)
+    if not all(certified):
         raise _Failure(witness)
     return witness
 
@@ -641,158 +635,124 @@ def report(results: list[CheckResult], fmt: str = "json") -> str:
 # -- witness re-verification (expansion and evaluation only) ------------------
 
 
-def _expand_witness(ring, wit: dict) -> bool:
-    target = parse_poly(ring, wit["target"])
-    acc = parse_poly(ring, wit["remainder"])
-    for cof, gen in zip(wit["cofactors"], wit["generators"]):
-        acc = acc + parse_poly(ring, cof) * parse_poly(ring, gen)
-    return acc == target
+#: Checks that search nothing; re-verification runs them again.
+_RERUN = ("C1", "C3", "C4", "C5", "C6", "C11", "C13", "C14")
 
 
-def _reverify_smoothness(ctx: SuiteContext, witness: dict,
-                         expected_verdict: str) -> bool:
-    if witness.get("verdict") != expected_verdict:
+def _parse_witness(ring, wit: dict) -> CombinationWitness:
+    """Inverse of ``_wit_json``."""
+    return CombinationWitness(
+        target=parse_poly(ring, wit["target"]),
+        generators=tuple(parse_poly(ring, g) for g in wit["generators"]),
+        cofactors=tuple(parse_poly(ring, c) for c in wit["cofactors"]),
+        remainder=parse_poly(ring, wit["remainder"]))
+
+
+def _proves(ring, wit: dict, target: str, generators: list[str]) -> bool:
+    """Whether a saved witness expands to ``target`` over ``generators``;
+    printing is canonical, so the strings are compared before parsing."""
+    if wit["target"] != target or wit["generators"] != generators:
         return False
-    ring = ctx.fx.presentation_ring
-    wit = witness.get("unit_witness")
-    if wit is None:
+    parsed = _parse_witness(ring, wit)
+    return parsed.is_member and parsed.verify()
+
+
+def _reverify_c2(ctx: SuiteContext, w: dict) -> bool:
+    ring = ctx.fx.ring
+    if w["minors"] != [str(m) for m in fixed_locus_ideal(ctx.fx.field)]:
         return False
-    recorded = (witness["relations"] + witness["minors"]
-                + (witness["locus"] if expected_verdict == SMOOTH_ON_LOCUS
-                   else []))
-    if wit["generators"] != recorded or wit["target"] != "1":
+    for name in ring.variables[1:]:
+        entry = w["powers"].get(name)
+        if entry is None or not w["radical"].get(name):
+            return False
+        if not _proves(ring, entry["witness"],
+                       str(ring.gen(name)**entry["exponent"]), w["minors"]):
+            return False
+    return True
+
+
+def _reverify_c7(ctx: SuiteContext, w: dict) -> bool:
+    expected = [str(r) for r in ctx.fx.presentation_rels]
+    computed = w["computed_kernel"]
+    membership = w["membership"]
+    sides = ((membership["computed_in_expected"], computed, expected),
+             (membership["expected_in_computed"], expected, computed))
+    return all(len(wits) == len(targets)
+               and all(_proves(ctx.fx.presentation_ring, wit, t, gens)
+                       for wit, t in zip(wits, targets))
+               for wits, targets, gens in sides)
+
+
+def _reverify_smoothness(ctx: SuiteContext, check_id: str, w: dict) -> bool:
+    verdict, names = _SMOOTHNESS[check_id]
+    wit = w.get("unit_witness")
+    # strings first: parsing the minors is most of the cost
+    if (w["verdict"] != verdict or w["codim"] != _ADJUNCTION_CODIM
+            or w["locus"] != list(names) or wit is None
+            or wit["generators"] != w["relations"] + w["minors"] + w["locus"]):
         return False
-    return _expand_witness(ring, wit)
+    unit = _parse_witness(ctx.fx.presentation_ring, wit)
+    nrel = len(w["relations"])
+    nmin = nrel + len(w["minors"])
+    cert = SmoothnessCertificate(
+        verdict=verdict, generators=unit.generators[:nrel],
+        minors=unit.generators[nrel:nmin], locus=unit.generators[nmin:],
+        codim=w["codim"], unit_witness=unit, residual=None,
+        pairs_processed=w["pairs_processed"])
+    if not cert.verify():
+        return False
+    if check_id == "C10":
+        images = ctx.adjunction_images("x1")
+        return all(substitute(rel, images[0].ring, images).is_zero()
+                   for rel in cert.generators)
+    return True
+
+
+def _reverify_c12(ctx: SuiteContext, w: dict) -> bool:
+    fx = ctx.fx
+    element = parse_poly(fx.ring, w["element"])
+    base = (1,) + (0,) * (fx.ring.nvars - 1)
+    return (apply(fx.field, element).is_zero()
+            and element.evaluate(base) == w["base_point_value"]
+            and w["base_point_value"] != 0
+            and numerics.hypersurface_invariants(5) == (5, 5))
 
 
 def verify_witness(result: CheckResult,
                    fixtures: FixtureSet | None = None,
                    seed: int = DEFAULT_SEED) -> bool:
-    """Re-check a passing result's witness using only expansion/evaluation.
+    """Re-check a passing result's witness with no basis search.
 
-    No basis search is performed: combination witnesses are expanded term
-    by term, field applications and substitutions are recomputed, and
-    integer claims are recomputed from closed forms.
+    C1, C3-C6, C11, C13 and C14 search nothing: they run again and must
+    return the saved witness.  Every saved cofactor combination (C2, C7,
+    the unit witnesses of C8-C10) must state the expected target over the
+    expected generators, with remainder zero, and expand back to its
+    target; C7 needs one per relation on each side.  C8-C10 must carry the
+    expected verdict, codim and locus, and C10's relations must vanish
+    under the chart-x1 images.  C12 depends on the seed, so its element is
+    checked instead: killed by the field, with the recorded nonzero value
+    at the fixed point.  The eliminated kernels of C7 and C9 and the
+    Jacobian minors are read from the witness, not recomputed.
     """
     if result.status != PASS:
         return False
     fx = fixtures if fixtures is not None else load_fixtures()
     ctx = SuiteContext(fx, seed, None, None)
-    w = result.witness
-    rid = result.id
-
-    if rid == "C1":
-        power = iterate_power(fx.field, fx.p)
-        return (w["fifth_power_images"] == [str(g) for g in power.images]
-                and power.is_zero())
-    if rid == "C2":
-        minors = fixed_locus_ideal(fx.field)
-        if w["minors"] != [str(m) for m in minors]:
-            return False
-        for name in fx.ring.variables[1:]:
-            entry = w["powers"].get(name)
-            if entry is None or not w["radical"].get(name):
-                return False
-            wit = entry["witness"]
-            xi = fx.ring.gen(name)
-            if parse_poly(fx.ring, wit["target"]) != xi**entry["exponent"]:
-                return False
-            if wit["remainder"] != "0" or not _expand_witness(fx.ring, wit):
-                return False
-        return True
-    if rid == "C3":
-        return all(apply(fx.field, poly).is_zero()
-                   and w["field_image"][name] == "0"
-                   for name, poly in (("K1", fx.k1), ("K2", fx.k2)))
-    if rid == "C4":
-        for chart in CHARTS:
-            computed = ctx.chart_field(chart)
-            if computed != fx.chart_fields[chart]:
-                return False
-            entry = w["charts"][chart]
-            if not entry["matches"]:
-                return False
-        return True
-    if rid == "C5":
-        for chart in CHARTS:
-            field = ctx.chart_field(chart)
-            for gen, recorded in zip(fx.chart_gens[chart],
-                                     (w["charts"][chart]["gen1"],
-                                      w["charts"][chart]["gen2"])):
-                if recorded != "0" or not apply(field, gen).is_zero():
-                    return False
-        return True
-    if rid == "C6":
-        for row, entry in zip(ctx.table_rows(), w["rows"]):
-            computed = ctx.row_value(row)
-            expected = fx.chart_gens[row.chart][0 if row.name == "gen1" else 1]
-            if computed != expected or not entry["matches"]:
-                return False
-            if entry["computed"] != str(computed):
-                return False
-        return True
-    if rid == "C7":
-        ring = fx.presentation_ring
-        for wit in w["membership"]["computed_in_expected"]:
-            if wit["generators"] != w["expected_relations"]:
-                return False
-            if wit["remainder"] != "0" or not _expand_witness(ring, wit):
-                return False
-        for wit, target in zip(w["membership"]["expected_in_computed"],
-                               w["expected_relations"]):
-            if wit["generators"] != w["computed_kernel"]:
-                return False
-            if wit["target"] != target or wit["remainder"] != "0":
-                return False
-            if not _expand_witness(ring, wit):
-                return False
-        return True
-    if rid == "C8":
-        return _reverify_smoothness(ctx, w, SMOOTH)
-    if rid == "C9":
-        return _reverify_smoothness(ctx, w, SMOOTH_ON_LOCUS)
-    if rid == "C10":
-        if not _reverify_smoothness(ctx, w, SMOOTH_ON_LOCUS):
-            return False
-        ring = fx.presentation_ring
-        images = ctx.adjunction_images("x1")
-        for rel_text in w["relations"]:
-            rel = parse_poly(ring, rel_text)
-            if not substitute(rel, images[0].ring, images).is_zero():
-                return False
-        return True
-    if rid == "C11":
-        basis = ctx.kernel5()
-        if w["dimension"] != len(basis):
-            return False
-        for i in range(fx.ring.nvars):
-            if not vector_reduce(fx.ring.gen(i)**5, basis).is_zero():
-                return False
-        return (vector_reduce(fx.k1, basis).is_zero()
-                and vector_reduce(fx.k2, basis).is_zero())
-    if rid == "C12":
-        element = parse_poly(fx.ring, w["element"])
-        base = (1,) + (0,) * (fx.ring.nvars - 1)
-        return (apply(fx.field, element).is_zero()
-                and element.evaluate(base) == w["base_point_value"]
-                and w["base_point_value"] != 0
-                and numerics.hypersurface_invariants(5) == (5, 5))
-    if rid == "C13":
-        return (w["cover"] == {"chi": 5, "k2": 5, "h0_omega_lower": 4}
-                and w["quotient"] == {"chi": 1, "k2": 1})
-    if rid == "C14":
-        c2, b2, b3 = numerics.betti_consistency(1, 1, 0)
-        if w["betti"] != {"c2": c2, "b2": b2, "b3": b3}:
-            return False
-        for kind in ("singular", "supersingular"):
-            verdicts = numerics.e1_degeneration_check(fx.hodge[kind],
-                                                      fx.de_rham)
-            if w["degeneration"][kind] != {str(n): v for n, v
-                                           in sorted(verdicts.items())}:
-                return False
-        return (w["feasible"]["singular"] == [2, 3, 5]
-                and w["feasible"]["supersingular"] == [2, 3, 5]
-                and w["torsion_bound_p5"] == 1)
+    rid, w = result.id, result.witness
+    try:
+        if rid in _RERUN:
+            fn = next(fn for cid, _, _, fn in _CHECKS if cid == rid)
+            return fn(ctx) == w
+        if rid in _SMOOTHNESS:
+            return _reverify_smoothness(ctx, rid, w)
+        if rid == "C2":
+            return _reverify_c2(ctx, w)
+        if rid == "C7":
+            return _reverify_c7(ctx, w)
+        if rid == "C12":
+            return _reverify_c12(ctx, w)
+    except (_Failure, EngineError):
+        return False
     raise ValueError(f"unknown check id {rid!r}")
 
 

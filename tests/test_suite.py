@@ -1,15 +1,67 @@
 """Verification suite: checks, reports, witnesses, mutation coverage."""
 
+import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from godeaux import backend
 from godeaux.fixtures import load_fixtures
 from godeaux.suite import (BUDGET_EXCEEDED, CHECK_IDS, FAIL, MUTATIONS, PASS,
-                           report, run_all, verify_witness)
+                           CheckResult, report, run_all, verify_witness)
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
+
+
+# -- witness tamperings that a sound re-verification must reject -------------
+
+
+def _unit_witness_from_remainder(w):
+    wit = w["unit_witness"]
+    wit["cofactors"] = ["0"] * len(wit["cofactors"])
+    wit["remainder"] = "1"
+
+
+def _zero_targets_zero_cofactors(w):
+    for wit in w["membership"]["computed_in_expected"]:
+        wit["target"] = "0"
+        wit["cofactors"] = ["0"] * len(wit["cofactors"])
+
+
+def _membership_emptied(w):
+    for side in w["membership"].values():
+        side.clear()
+
+
+def _unit_locus(w):
+    w["locus"] = ["1"]
+    gens = w["relations"] + w["minors"] + ["1"]
+    w["unit_witness"].update(generators=gens, remainder="0",
+                             cofactors=["0"] * (len(gens) - 1) + ["1"])
+
+
+def _trivial_relations(w):
+    w["relations"], w["minors"] = ["w"], []
+    w["unit_witness"].update(generators=["w", "w"], cofactors=["0", "0"],
+                             remainder="1")
+
+
+def _codim_one(w):
+    w["codim"] = 1
+
+
+TAMPERINGS = (
+    ("C8", _unit_witness_from_remainder),
+    ("C9", _unit_witness_from_remainder),
+    ("C10", _unit_witness_from_remainder),
+    ("C7", _zero_targets_zero_cofactors),
+    ("C7", _membership_emptied),
+    ("C9", _unit_locus),
+    ("C9", _trivial_relations),
+    ("C8", _codim_one),
+)
 
 
 class TestFullRun:
@@ -90,6 +142,27 @@ class TestWitnesses:
         flipped = [r for r in results if r.status != PASS]
         assert flipped
         assert not verify_witness(flipped[0], patched, seed=1)
+
+    @pytest.mark.parametrize("check_id,tampering", TAMPERINGS,
+                             ids=[f"{c}-{t.__name__.strip('_')}"
+                                  for c, t in TAMPERINGS])
+    def test_reverify_rejects_tampered_witness(self, suite_results, fixtures,
+                                               check_id, tampering):
+        result = next(r for r in suite_results if r.id == check_id)
+        witness = copy.deepcopy(result.witness)
+        tampering(witness)
+        assert not verify_witness(replace(result, witness=witness), fixtures)
+
+    def test_reverify_calls_no_kernel(self, suite_results, fixtures,
+                                      monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("re-verification called a Groebner kernel")
+
+        monkeypatch.setattr(backend, "get", no_kernel)
+        monkeypatch.setattr(backend, "for_ring", no_kernel)
+        saved = [CheckResult(**e) for e in json.loads(GOLDEN.read_text())]
+        for r in list(suite_results) + saved:
+            assert verify_witness(r, fixtures, seed=1), r.id
 
     def test_radical_power_witness_exponents(self, suite_results):
         c2 = next(r for r in suite_results if r.id == "C2")
