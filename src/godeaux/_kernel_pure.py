@@ -12,6 +12,24 @@ Boundary format: a polynomial is a list of ``(exponent_tuple, coeff)``
 pairs with distinct exponents and coefficients in [1, p).  Outputs are
 sorted largest-monomial-first.
 
+Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007): inside a call a
+monomial is one int.  From the top it holds the fields of
+``MonomialOrder.key`` (per block, the reversed partial sums of the
+exponents; plain exponents under lex), then, except under lex, the
+exponents themselves.  Each field has ``width`` bits under a guard bit
+that is 0 in a valid monomial.  The fields are linear in the exponents,
+so int comparison is the monomial order, a product is ``+``, a quotient
+is ``-``, and ``a`` divides ``m`` iff ``not ((m - a) & guard)``: an
+exponent of ``m`` below that of ``a`` borrows into a guard bit.  Tuples
+are encoded once on entry and decoded once on exit.
+
+The width is twice the bit length of the inputs' largest total degree,
+which bounds every field, and at least 8.  A product that carries into a
+guard bit, or an lcm whose degree does not fit, raises ``_Overflow`` and
+the call reruns at twice the width; being deterministic, the rerun gives
+what a wide enough first run would have, pair count included.
+
 Algorithm notes:
 
 * S-pair selection is the normal strategy — minimal lcm total degree,
@@ -26,6 +44,7 @@ Algorithm notes:
 from __future__ import annotations
 
 import heapq
+from operator import mul
 
 from .errors import BudgetExceeded
 from .rings import MonomialOrder
@@ -33,31 +52,65 @@ from .rings import MonomialOrder
 BACKEND_NAME = "pure"
 
 
-def _key_func(kind, split):
-    order = MonomialOrder(kind, split if kind == "block" else None)
-    return order.key
+class _Overflow(Exception):
+    """A packed field outgrew the width of the current call."""
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+class _Packing:
+    """The packed-int layout of one call's monomials."""
+
+    __slots__ = ("guard", "mask", "units", "shifts")
+
+    def __init__(self, nvars, kind, split, width):
+        order = MonomialOrder(kind, split if kind == "block" else None)
+        slot = width + 1
+
+        def pack(fields):
+            v = 0
+            for f in fields:
+                v = (v << slot) | f
+            return v
+
+        fields = []
+        for k in range(nvars):
+            e = (0,) * k + (1,) + (0,) * (nvars - 1 - k)
+            fields.append(e if kind == "lex" else order.key(e) + e)
+        self.units = [pack(f) for f in fields]
+        self.guard = pack([1 << width] * len(fields[0]))
+        self.mask = (1 << width) - 1
+        self.shifts = [slot * (nvars - 1 - j) for j in range(nvars)]
+
+    def enc(self, exps):
+        return sum(map(mul, exps, self.units))
+
+    def dec(self, m):
+        mask = self.mask
+        return tuple([(m >> s) & mask for s in self.shifts])
 
 
-def _lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+def _first_width(degree):
+    """Field bits for a call whose inputs have this largest total degree."""
+    return max(8, 2 * degree.bit_length())
 
 
-def _neg(key):
-    return tuple(-k for k in key)
+def _packed(nvars, kind, split, polys, run):
+    """``run(packing, packed_polys)`` at a fitting width; wider on overflow."""
+    degree = max((sum(e) for terms in polys for e, _ in terms), default=0)
+    width = _first_width(degree)
+    while True:
+        pk = _Packing(nvars, kind, split, width)
+        enc = pk.enc
+        try:
+            return run(pk, [{enc(e): c for e, c in t} for t in polys])
+        except _Overflow:
+            width *= 2
 
 
 # -- normal form ---------------------------------------------------------------
 
 
-def _nf(fdict, reducers, key, p):
-    """Full normal form of ``fdict`` modulo ``reducers``.
+def _nf(work, reducers, p, guard):
+    """Full normal form of the packed dict ``work``, which is consumed.
 
     ``reducers``: list of (lm, lc_inv, terms_dict, quotient) scanned in
     order; the first dividing leading monomial wins.  ``quotient`` is a
@@ -65,23 +118,23 @@ def _nf(fdict, reducers, key, p):
     f = sum(quotient_i * g_i) + r, or None when quotients are not wanted.
     Returns the remainder as a fresh dict.
     """
-    work = dict(fdict)
-    heap = [(_neg(key(m)), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     out = {}
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heappop(heap)
         c = work.get(m)
         if not c:
             continue
         for lm, lcinv, g, qd in reducers:
-            if _divides(lm, m):
+            if not (m - lm) & guard:
                 break
         else:
             out[m] = c
             del work[m]
             continue
-        q = tuple(a - b for a, b in zip(m, lm))
+        q = m - lm
         factor = (c * lcinv) % p
         if qd is not None:
             s = (qd.get(q, 0) + factor) % p
@@ -90,12 +143,14 @@ def _nf(fdict, reducers, key, p):
             else:
                 qd.pop(q, None)
         for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(q, e2))
+            e = q + e2
             prev = work.get(e, 0)
             s = (prev - factor * c2) % p
             if s:
                 if prev == 0:
-                    heapq.heappush(heap, (_neg(key(e)), e))
+                    if e & guard:
+                        raise _Overflow
+                    heappush(heap, -e)
                 work[e] = s
             else:
                 work.pop(e, None)
@@ -111,19 +166,17 @@ def _scale(d, c, p):
     return {e: (v * c) % p for e, v in d.items()}
 
 
-def _axpy(target, c, shift, src, p):
+def _axpy(target, c, shift, src, p, guard):
     """target += c * x^shift * src, in place."""
     for e2, c2 in src.items():
-        e = tuple(a + b for a, b in zip(shift, e2))
+        e = shift + e2
+        if e & guard:
+            raise _Overflow
         s = (target.get(e, 0) + c * c2) % p
         if s:
             target[e] = s
         else:
             target.pop(e, None)
-
-
-def _is_one(d):
-    return len(d) == 1 and not any(next(iter(d)))
 
 
 # -- Buchberger -----------------------------------------------------------------
@@ -132,66 +185,75 @@ def _is_one(d):
 class _PairQueue:
     """Normal-strategy pair queue with Gebauer–Moeller pruning."""
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self, pk):
+        self.pk = pk
+        self.exps = []   # leading exponent tuples, one per basis element
         self.heap = []
-        self.alive = {}  # (i, j) -> lcm exps
+        self.alive = {}  # (i, j) -> lcm
 
     def update(self, lms, t):
         """Install pairs of the new element ``t`` against 0..t-1."""
-        key = self.key
+        pk = self.pk
+        guard = pk.guard
         lt = lms[t]
-        remaining = [(i, _lcm(lms[i], lt)) for i in range(t)]
-        prods = [tuple(a + b for a, b in zip(lms[i], lt)) for i in range(t)]
+        et = pk.dec(lt)
+        lcms, degs = [], []
+        for ei in self.exps:
+            e = tuple(map(max, ei, et))
+            deg = sum(e)
+            if deg > pk.mask:
+                raise _Overflow
+            lcms.append(pk.enc(e))
+            degs.append(deg)
+        self.exps.append(et)
         kept = []
-        while remaining:
-            i, l = remaining.pop(0)
-            if l != prods[i]:
-                dominated = any(_divides(l2, l) for _, l2 in remaining) or \
-                    any(_divides(l2, l) for _, l2 in kept)
+        for i, l in enumerate(lcms):
+            if l != lms[i] + lt:
+                dominated = any(not (l - l2) & guard for l2 in lcms[i + 1:]) \
+                    or any(not (l - lcms[k]) & guard for k in kept)
                 if dominated:
                     continue
-            kept.append((i, l))
+            kept.append(i)
         # Chain-criterion filter on the existing queue.
         for (i, j), l in list(self.alive.items()):
-            if _divides(lt, l) and _lcm(lms[i], lt) != l and _lcm(lms[j], lt) != l:
+            if not (l - lt) & guard and lcms[i] != l and lcms[j] != l:
                 del self.alive[(i, j)]
         # Coprime survivors are dropped (criterion 1); the rest are queued.
-        for i, l in kept:
-            if l == prods[i]:
+        for i in kept:
+            l = lcms[i]
+            if l == lms[i] + lt:
                 continue
             self.alive[(i, t)] = l
-            heapq.heappush(self.heap, (sum(l), key(l), i, t, l))
+            heapq.heappush(self.heap, (degs[i], l, i, t))
 
     def pop(self):
         """Next live pair as (i, j, lcm), or None when drained."""
         while self.heap:
-            _, _, i, j, l = heapq.heappop(self.heap)
+            _, l, i, j = heapq.heappop(self.heap)
             if self.alive.get((i, j)) == l:
                 del self.alive[(i, j)]
                 return i, j, l
         return None
 
 
-def _sub_quotients(rep, reducers, reps, p):
+def _sub_quotients(rep, reducers, reps, p, guard):
     """rep -= sum(quotient_b * reps[b]), over the reducers' quotient dicts."""
     for (_, _, _, qd), rb in zip(reducers, reps):
         for q, c in qd.items():
             for k, r in enumerate(rb):
                 if r:
-                    _axpy(rep[k], p - c, q, r, p)
+                    _axpy(rep[k], p - c, q, r, p, guard)
 
 
-def _reduce_basis(basis, lms, key, p, reps=None):
+def _reduce_basis(basis, lms, p, guard, reps=None):
     """Minimalize and tail-reduce to the canonical reduced basis.
 
     Returns (basis, reps) sorted largest leading monomial first; ``reps``
     is carried through the same row operations when provided.
     """
-    order = sorted(range(len(basis)), key=lambda i: key(lms[i]))
     kept = []
-    for i in order:
-        if any(_divides(lms[j], lms[i]) for j in kept):
+    for i in sorted(range(len(basis)), key=lms.__getitem__):
+        if any(not (lms[i] - lms[j]) & guard for j in kept):
             continue
         kept.append(i)
     basis = [basis[i] for i in kept]
@@ -202,58 +264,62 @@ def _reduce_basis(basis, lms, key, p, reps=None):
         others = [j for j in range(len(basis)) if j != idx]
         reducers = [(lms[j], 1, basis[j], None if reps is None else {})
                     for j in others]
-        basis[idx] = _nf(basis[idx], reducers, key, p)
+        basis[idx] = _nf(basis[idx], reducers, p, guard)
         if reps is not None:
-            _sub_quotients(reps[idx], reducers, [reps[j] for j in others], p)
-    final = sorted(range(len(basis)), key=lambda i: key(lms[i]), reverse=True)
+            _sub_quotients(reps[idx], reducers, [reps[j] for j in others], p,
+                           guard)
+    final = sorted(range(len(basis)), key=lms.__getitem__, reverse=True)
     basis = [basis[i] for i in final]
     if reps is not None:
         reps = [reps[i] for i in final]
     return basis, reps
 
 
-def _buchberger(gens_terms, nvars, p, key, budget, track):
+def _buchberger(gens, p, pk, budget, track):
     """The one Buchberger loop; cofactors are carried only under ``track``.
 
-    Returns ``(basis, reps, pairs_processed, unit_rep)`` as dicts.  When 1
-    is discovered the run stops at once with ``basis`` None and
-    ``unit_rep`` the cofactors expressing 1 over the inputs.  ``reps`` and
-    ``unit_rep`` are None when ``track`` is false.
+    ``gens`` are packed dicts.  Returns ``(basis, reps, pairs_processed,
+    unit_rep)`` as packed dicts.  When 1 is discovered the run stops at
+    once with ``basis`` None and ``unit_rep`` the cofactors expressing 1
+    over the inputs.  ``reps`` and ``unit_rep`` are None when ``track`` is
+    false.
     """
-    ngen = len(gens_terms)
+    guard = pk.guard
+    ngen = len(gens)
     basis = []
     lms = []
     reps = []
-    queue = _PairQueue(key)
+    reducers = []   # (lm, 1, basis element, quotient dict or None)
+    queue = _PairQueue(pk)
     pairs_processed = 0
     unit_rep = None
 
     def install(d, rep):
         nonlocal unit_rep
-        lm = max(d, key=key)
+        lm = max(d)
         lc = d[lm]
         if lc != 1:
             inv = pow(lc, p - 2, p)
             d = _scale(d, inv, p)
             if track:
                 rep = [_scale(r, inv, p) for r in rep]
-        if _is_one(d):
+        if lm == 0:
             unit_rep = rep
             return True
         basis.append(d)
         lms.append(lm)
         reps.append(rep)
+        reducers.append((lm, 1, d, {} if track else None))
         queue.update(lms, len(basis) - 1)
         return False
 
-    for k, terms in enumerate(gens_terms):
-        d = dict(terms)
+    for k, d in enumerate(gens):
         if not d:
             continue
         rep = None
         if track:
             rep = [dict() for _ in range(ngen)]
-            rep[k][(0,) * nvars] = 1
+            rep[k][0] = 1
         if install(d, rep):
             return None, None, pairs_processed, unit_rep
 
@@ -265,69 +331,75 @@ def _buchberger(gens_terms, nvars, p, key, budget, track):
             raise BudgetExceeded(pairs_processed, len(basis))
         pairs_processed += 1
         i, j, l = item
-        qi = tuple(a - b for a, b in zip(l, lms[i]))
-        qj = tuple(a - b for a, b in zip(l, lms[j]))
+        qi = l - lms[i]
+        qj = l - lms[j]
         s = {}
-        _axpy(s, 1, qi, basis[i], p)
-        _axpy(s, p - 1, qj, basis[j], p)
-        reducers = [(lms[k], 1, basis[k], {} if track else None)
-                    for k in range(len(basis))]
-        r = _nf(s, reducers, key, p)
+        _axpy(s, 1, qi, basis[i], p, guard)
+        _axpy(s, p - 1, qj, basis[j], p, guard)
+        if track:
+            for red in reducers:
+                red[3].clear()
+        r = _nf(s, reducers, p, guard)
         if not r:
             continue
         rep = None
         if track:
             rep = [dict() for _ in range(ngen)]
             for k in range(ngen):
-                _axpy(rep[k], 1, qi, reps[i][k], p)
-                _axpy(rep[k], p - 1, qj, reps[j][k], p)
-            _sub_quotients(rep, reducers, reps, p)
+                _axpy(rep[k], 1, qi, reps[i][k], p, guard)
+                _axpy(rep[k], p - 1, qj, reps[j][k], p, guard)
+            _sub_quotients(rep, reducers, reps, p, guard)
         if install(r, rep):
             return None, None, pairs_processed, unit_rep
 
-    basis, reps = _reduce_basis(basis, lms, key, p, reps if track else None)
+    basis, reps = _reduce_basis(basis, lms, p, guard, reps if track else None)
     return basis, reps, pairs_processed, None
 
 
 # -- public boundary --------------------------------------------------------------
 
 
-def _to_terms(d, key):
-    return [(e, d[e]) for e in sorted(d, key=key, reverse=True)]
+def _to_terms(d, pk):
+    dec = pk.dec
+    return [(dec(m), d[m]) for m in sorted(d, reverse=True)]
 
 
-def _reducers(gens_terms, key, p, quotients):
-    """Reducer tuples for the nonzero generators, in input order."""
+def _reducers(gens, p, quotients):
+    """Reducer tuples for the nonzero packed generators, in input order."""
     out = []
-    for terms, qd in zip(gens_terms, quotients):
-        d = dict(terms)
+    for d, qd in zip(gens, quotients):
         if d:
-            lm = max(d, key=key)
+            lm = max(d)
             out.append((lm, pow(d[lm], p - 2, p), d, qd))
     return out
 
 
 def normal_form(f_terms, gens_terms, nvars, p, kind, split=None):
-    key = _key_func(kind, split)
-    reducers = _reducers(gens_terms, key, p, [None] * len(gens_terms))
-    return _to_terms(_nf(dict(f_terms), reducers, key, p), key)
+    def run(pk, polys):
+        f, *gens = polys
+        reducers = _reducers(gens, p, [None] * len(gens))
+        return _to_terms(_nf(f, reducers, p, pk.guard), pk)
+    return _packed(nvars, kind, split, [f_terms, *gens_terms], run)
 
 
 def buchberger(gens_terms, nvars, p, kind, split=None, budget=None):
     """Reduced Groebner basis and the processed-pair count."""
-    key = _key_func(kind, split)
-    basis, _, pairs, _ = _buchberger(gens_terms, nvars, p, key, budget, False)
-    if basis is None:
-        return [[((0,) * nvars, 1)]], pairs
-    return [_to_terms(d, key) for d in basis], pairs
+    def run(pk, gens):
+        basis, _, pairs, _ = _buchberger(gens, p, pk, budget, False)
+        if basis is None:
+            return [[((0,) * nvars, 1)]], pairs
+        return [_to_terms(d, pk) for d in basis], pairs
+    return _packed(nvars, kind, split, gens_terms, run)
 
 
 def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
     """Remainder plus per-generator quotients (aligned with the input)."""
-    key = _key_func(kind, split)
-    quots = [dict() for _ in gens_terms]
-    r = _nf(dict(f_terms), _reducers(gens_terms, key, p, quots), key, p)
-    return _to_terms(r, key), [_to_terms(q, key) for q in quots]
+    def run(pk, polys):
+        f, *gens = polys
+        quots = [dict() for _ in gens]
+        r = _nf(f, _reducers(gens, p, quots), p, pk.guard)
+        return _to_terms(r, pk), [_to_terms(q, pk) for q in quots]
+    return _packed(nvars, kind, split, [f_terms, *gens_terms], run)
 
 
 def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None,
@@ -339,13 +411,13 @@ def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None,
     discovered and ``stop_on_unit`` is set, the run aborts immediately
     with ``unit_rep`` (cofactors expressing 1) and no basis.
     """
-    key = _key_func(kind, split)
-    basis, reps, pairs, unit = _buchberger(gens_terms, nvars, p, key, budget,
-                                           True)
-    if basis is None:
-        unit = [_to_terms(r, key) for r in unit]
-        if stop_on_unit:
-            return None, None, pairs, unit
-        return [[((0,) * nvars, 1)]], [unit], pairs, None
-    reps_terms = [[_to_terms(r, key) for r in rep] for rep in reps]
-    return [_to_terms(d, key) for d in basis], reps_terms, pairs, None
+    def run(pk, gens):
+        basis, reps, pairs, unit = _buchberger(gens, p, pk, budget, True)
+        if basis is None:
+            unit = [_to_terms(r, pk) for r in unit]
+            if stop_on_unit:
+                return None, None, pairs, unit
+            return [[((0,) * nvars, 1)]], [unit], pairs, None
+        reps_terms = [[_to_terms(r, pk) for r in rep] for rep in reps]
+        return [_to_terms(d, pk) for d in basis], reps_terms, pairs, None
+    return _packed(nvars, kind, split, gens_terms, run)

@@ -11,8 +11,9 @@ The environment variable ``GODEAUX_BACKEND`` picks the default:
 ``pure`` forces the reference kernel, ``compiled`` demands the
 extension (raising if it is missing), and ``auto`` (or unset) prefers
 the extension when importable.  Individual calls still route to the
-pure kernel for rings outside the extension's static limits (more than
-``MAX_VARS`` variables or a huge modulus).
+pure kernel when they are outside the extension's static limits: more
+than ``MAX_VARS`` variables, a modulus of at least
+``MAX_COEFF_MODULUS``, or an input of total degree above ``MAX_FIELD``.
 """
 
 from __future__ import annotations
@@ -63,11 +64,15 @@ def get(name: str | None = None):
     raise ValueError(f"unknown backend {name!r}")
 
 
-def for_ring(nvars: int, p: int, name: str | None = None):
-    """The kernel to use for a ring, honouring the extension's limits."""
+def for_ring(nvars: int, p: int, name: str | None = None, degree: int = 0):
+    """The kernel for a call in a ring, honouring the extension's limits.
+
+    ``degree`` is the largest total degree among the call's inputs.
+    """
     mod = get(name)
     if mod is _kernel_pure:
         return mod
-    if nvars > mod.MAX_VARS or p >= mod.MAX_COEFF_MODULUS:
+    if (nvars > mod.MAX_VARS or p >= mod.MAX_COEFF_MODULUS
+            or degree > mod.MAX_FIELD):
         return _kernel_pure
     return mod

@@ -49,8 +49,10 @@ def _from_terms(ring: PolyRing, terms) -> Polynomial:
     return Polynomial._raw(ring, dict(terms))
 
 
-def _kernel_for(ring: PolyRing, backend_name: str | None):
-    return _backend.for_ring(ring.nvars, ring.p, backend_name)
+def _kernel_for(ring: PolyRing, backend_name: str | None,
+                polys: Sequence[Polynomial]):
+    degree = max((f.total_degree() for f in polys), default=0)
+    return _backend.for_ring(ring.nvars, ring.p, backend_name, degree)
 
 
 # -- results ------------------------------------------------------------------
@@ -175,7 +177,7 @@ def reduce(f: Polynomial, reducers, backend_name: str | None = None) -> Polynomi
     live = [g for g in polys if not g.is_zero()]
     if f.is_zero() or not live:
         return f
-    kern = _kernel_for(ring, backend_name)
+    kern = _kernel_for(ring, backend_name, [f] + live)
     kind, split = _order_args(ring)
     out = kern.normal_form(f.items_sorted(), _to_termlists(live),
                            ring.nvars, ring.p, kind, split=split)
@@ -204,7 +206,7 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
     """
     ring = _common_ring(list(gens))
     live = [g for g in gens if not g.is_zero()]
-    kern = _kernel_for(ring, backend_name)
+    kern = _kernel_for(ring, backend_name, live)
     kind, split = _order_args(ring)
     basis_terms, pairs = kern.buchberger(_to_termlists(live), ring.nvars,
                                          ring.p, kind, split=split,

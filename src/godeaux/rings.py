@@ -263,7 +263,7 @@ class Polynomial:
         """Maximal term degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms))
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self._terms}

@@ -16,7 +16,8 @@ from godeaux.derivations import Derivation, apply, chart_transform, graded_kerne
 from godeaux.errors import BudgetExceeded
 from godeaux.fixtures import load_fixtures
 from godeaux.groebner import buchberger, reduce, spolynomial
-from godeaux.rings import DEGREVLEX, LEX, PolyRing, frobenius_power
+from godeaux.rings import (DEGREVLEX, LEX, MonomialOrder, PolyRing,
+                           frobenius_power)
 
 CASE_TARGET = 1000
 
@@ -254,6 +255,49 @@ def tracked_mirror(n: int = 150):
     return n, failures[:5]
 
 
+def _boundary_exponents(rng: random.Random, nvars: int, bound: int) -> list:
+    """Exponents whose total degree is at most ``bound``, often exactly it."""
+    total = bound if rng.random() < 0.5 else rng.randrange(bound + 1)
+    exps = [0] * nvars
+    for _ in range(total):
+        exps[rng.randrange(nvars)] += 1
+    return exps
+
+
+def packed_encoding(n: int = CASE_TARGET):
+    """The pure kernel's packed monomials against ``MonomialOrder.key``:
+    int order equals key order, packing is additive, and the guard-bit
+    test equals componentwise divisibility, up to the field-width limit."""
+    rng = random.Random(1010)
+    failures = []
+    for i in range(n):
+        nvars = rng.randrange(1, 7)
+        kind = ("degrevlex", "lex", "block")[i % 3]
+        if kind == "block" and nvars < 2:
+            kind = "lex"
+        split = rng.randrange(1, nvars) if kind == "block" else None
+        order = MonomialOrder(kind, split)
+        width = rng.randrange(1, 11)
+        pk = _kernel_pure._Packing(nvars, kind, split, width)
+        bound = pk.mask
+        a = _boundary_exponents(rng, nvars, bound)
+        b = _boundary_exponents(rng, nvars, bound)
+        c = _boundary_exponents(rng, nvars, bound - sum(a))
+        ea, eb = pk.enc(a), pk.enc(b)
+        ka, kb = order.key(a), order.key(b)
+        if (ea < eb, ea == eb) != (ka < kb, ka == kb):
+            failures.append(f"case {i}: packed order differs from key order")
+        if ea + pk.enc(c) != pk.enc([x + y for x, y in zip(a, c)]):
+            failures.append(f"case {i}: packing is not additive")
+        for lo, hi, elo, ehi in ((a, b, ea, eb), (c, a, pk.enc(c), ea)):
+            divides = all(x <= y for x, y in zip(lo, hi))
+            if divides == bool((ehi - elo) & pk.guard):
+                failures.append(f"case {i}: guard-bit divisibility is wrong")
+        if pk.dec(ea) != tuple(a):
+            failures.append(f"case {i}: decoding does not invert encoding")
+    return n, failures[:5]
+
+
 SUITES = {
     "ring_axioms": ring_axioms,
     "leibniz": leibniz,
@@ -264,6 +308,7 @@ SUITES = {
     "chart_compatibility": chart_compatibility,
     "cross_backend_mirror": cross_backend_mirror,
     "tracked_mirror": tracked_mirror,
+    "packed_encoding": packed_encoding,
 }
 
 #: Suites the acceptance gate requires to reach CASE_TARGET cases.

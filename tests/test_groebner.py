@@ -2,14 +2,14 @@
 
 import pytest
 
-from godeaux import _kernel_pure
+from godeaux import _kernel_pure, backend
 from godeaux.errors import BudgetExceeded, ContextError
 from godeaux.fixtures import load_fixtures
 from godeaux.groebner import (buchberger, eliminate, ideal_member,
                               jacobian_minors, jacobian_smoothness,
                               radical_member, reduce, reduce_tracked,
                               ring_map_kernel, spolynomial)
-from godeaux.rings import DEGREVLEX, LEX, PolyRing, parse_poly
+from godeaux.rings import DEGREVLEX, LEX, PolyRing, block_order, parse_poly
 
 R3 = PolyRing(("x", "y", "z"), 5, DEGREVLEX)
 R2 = PolyRing(("x", "y"), 5, DEGREVLEX)
@@ -123,6 +123,138 @@ class TestReduction:
         assert len(cofs) == 3 and cofs[1].is_zero()
         assert nf == reduce(f, gens)
         assert nf + cofs[0] * gens[0] + cofs[2] * gens[2] == f
+
+
+class TestBackendRouting:
+    """Inputs above the compiled kernel's degree limit run on the pure one."""
+
+    def test_for_ring_routes_on_degree(self):
+        compiled = backend.get("compiled")
+        assert backend.for_ring(2, 5, None, compiled.MAX_FIELD) is compiled
+        assert backend.for_ring(2, 5, None, compiled.MAX_FIELD + 1) \
+            is _kernel_pure
+
+    def test_auto_equals_pure_above_degree_limit(self, monkeypatch):
+        monkeypatch.setenv("GODEAUX_BACKEND", "auto")
+        x, y = R2.gens()
+        f, gens = x ** 70000, [x ** 2 - y]
+        assert reduce(f, gens) == reduce(f, gens, backend_name="pure") \
+            == y ** 35000
+        g = x ** 70000 - y ** 35000
+        assert ideal_member(g, gens) is True
+        assert ideal_member(g, gens, backend_name="pure") is True
+
+
+ORDERS = [LEX, DEGREVLEX, block_order(2)]
+
+
+def _pure_kernel_outcome(gens):
+    """Plain and tracked pure-kernel runs, checked against each other.
+
+    Both runs give one basis and pair count, every generator reduces to
+    zero modulo the basis, every cofactor row expands back to its basis
+    element, and a tracked normal form expands back to its input.
+    Returns (basis polynomials, pairs processed).
+    """
+    ring = gens[0].ring
+    kind, split = ring.order.kind, ring.order.split
+    terms = [g.items_sorted() for g in gens]
+    basis, pairs = _kernel_pure.buchberger(terms, ring.nvars, ring.p, kind,
+                                           split=split)
+    tracked, reps, tracked_pairs, _ = _kernel_pure.buchberger_tracked(
+        terms, ring.nvars, ring.p, kind, split=split)
+    assert (tracked, tracked_pairs) == (basis, pairs)
+    for t in terms:
+        assert _kernel_pure.normal_form(t, basis, ring.nvars, ring.p, kind,
+                                        split=split) == []
+    polys = [ring.from_terms(dict(b)) for b in basis]
+    for b, rep in zip(polys, reps):
+        acc = ring.zero()
+        for r, g in zip(rep, gens):
+            acc = acc + ring.from_terms(dict(r)) * g
+        assert acc == b
+    f = gens[0] * gens[-1] + ring.gens()[-1] ** 3 + ring.one()
+    r, quots = _kernel_pure.normal_form_tracked(
+        f.items_sorted(), basis, ring.nvars, ring.p, kind, split=split)
+    acc = ring.from_terms(dict(r))
+    for q, b in zip(quots, polys):
+        acc = acc + ring.from_terms(dict(q)) * b
+    assert acc == f
+    return polys, pairs
+
+
+def _record_widths(monkeypatch):
+    """The packed width of every run of the pure kernel, in call order."""
+    widths = []
+    init = _kernel_pure._Packing.__init__
+
+    def recording(self, nvars, kind, split, width):
+        widths.append(width)
+        init(self, nvars, kind, split, width)
+
+    monkeypatch.setattr(_kernel_pure._Packing, "__init__", recording)
+    return widths
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+class TestPureKernelPastCompiledLimits:
+    """Inputs only the pure kernel takes: more than MAX_VARS variables, a
+    modulus of at least 2^31, and degrees that outgrow a call's first
+    packed width."""
+
+    def test_seventeen_variables(self, order):
+        names = [f"x{i}" for i in range(17)]
+        ring = PolyRing(names, 5, block_order(8) if order.kind == "block"
+                        else order)
+        gens = [parse_poly(ring, f"{a} - {b}")
+                for a, b in zip(names, names[1:])]
+        gens.append(parse_poly(ring, "x16^2 - 1"))
+        basis, _ = _pure_kernel_outcome(gens)
+        expected = [parse_poly(ring, f"{a} - x16") for a in names[:-1]]
+        expected.append(parse_poly(ring, "x16^2 - 1"))
+        assert sorted(map(str, basis)) == sorted(map(str, expected))
+
+    def test_modulus_above_2_31(self, order):
+        ring = PolyRing(("x", "y", "z"), 2147483659, order)
+        gens = [parse_poly(ring, t) for t in
+                ("x^2 + 123456789*y*z - 7", "x*y - 2000000000*z^2 + x",
+                 "y^2 + 1999999999*x*z - 3")]
+        basis, pairs = _pure_kernel_outcome(gens)
+        assert pairs > 0 and len(basis) > 1
+
+    @pytest.mark.parametrize("system", [
+        ("x^3 - y*z", "y^3 - x*z + 1", "z^3 - x*y"),
+        ("x - y^3", "z - 1", "x*y - 1"),
+        ("y*z - x*z", "x - z^3")])
+    def test_rerun_from_the_narrowest_width(self, order, system,
+                                            monkeypatch):
+        # Each first width only just fits the degree-3 inputs, so the
+        # S-pairs overflow it and the Buchberger calls rerun wider.
+        ring = PolyRing(("x", "y", "z"), 5, order)
+        gens = [parse_poly(ring, t) for t in system]
+        expected = _pure_kernel_outcome(gens)
+        widths = _record_widths(monkeypatch)
+        monkeypatch.setattr(_kernel_pure, "_first_width", int.bit_length)
+        assert _pure_kernel_outcome(gens) == expected
+        # the plain and then the tracked Buchberger call each reran
+        tracked_start = widths.index(2, 1)
+        assert widths[:2] == [2, 4] and widths[tracked_start + 1] == 4
+
+
+def test_wide_lex_exponent_reruns_wider(monkeypatch):
+    # z^256 outgrows the 8-bit fields that degree-8 inputs start with.
+    widths = _record_widths(monkeypatch)
+    ring = PolyRing(("x", "y", "z"), 5, LEX)
+    gens = [parse_poly(ring, t) for t in ("x - y^8", "y - z^8", "x^4 - 1")]
+    basis, _ = _pure_kernel_outcome(gens)
+    assert basis == [parse_poly(ring, t) for t in
+                     ("x - z^64", "y - z^8", "z^256 - 1")]
+    assert widths[:2] == [8, 16]
+    del widths[:]
+    x4 = parse_poly(ring, "x^4").items_sorted()
+    assert _kernel_pure.normal_form(x4, [g.items_sorted() for g in gens[:2]],
+                                    3, 5, "lex") == [((0, 0, 256), 1)]
+    assert widths == [8, 16]
 
 
 class TestMembership:

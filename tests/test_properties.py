@@ -61,6 +61,12 @@ def test_tracked_mirror(property_outcomes):
     assert failures == []
 
 
+def test_packed_encoding(property_outcomes):
+    cases, failures = property_outcomes["packed_encoding"]
+    assert cases >= 1000
+    assert failures == []
+
+
 def test_every_required_suite_clean(property_outcomes):
     for name in property_helpers.REQUIRED_SUITES:
         cases, failures = property_outcomes[name]
