@@ -39,6 +39,17 @@ Algorithm notes:
 * Reduction is full normal form; the divisor is the first basis element
   (in insertion order) whose leading monomial divides the candidate.
 * The budget caps processed S-pairs and raises ``BudgetExceeded``.
+
+First-divisor memo: inside one ``_buchberger`` run the reducer list is
+only appended to, so a monomial's first divisor, once found, stays the
+first, and a monomial with none among ``reducers[:n]`` needs only
+``reducers[n:]`` scanned next time.  The run's memo records either, and
+the rule above is kept exactly.  Tracked runs clear the reducers'
+quotient dicts per pair, which touches neither the list nor the memo.
+The memo's keys are packed at one width, so each ``_Overflow`` rerun
+starts a fresh one.  ``normal_form`` and ``_reduce_basis`` pass an empty
+memo: one normal form never pops a monomial twice, and each element of
+``_reduce_basis`` has its own reducer list.
 """
 
 from __future__ import annotations
@@ -109,31 +120,39 @@ def _packed(nvars, kind, split, polys, run):
 # -- normal form ---------------------------------------------------------------
 
 
-def _nf(work, reducers, p, guard):
+def _nf(work, reducers, p, guard, memo):
     """Full normal form of the packed dict ``work``, which is consumed.
 
-    ``reducers``: list of (lm, lc_inv, terms_dict, quotient) scanned in
-    order; the first dividing leading monomial wins.  ``quotient`` is a
-    dict that accumulates that reducer's quotient in place, so that
+    ``reducers``: list of (lm, lc_inv, tail, quotient) scanned in order;
+    the first dividing leading monomial wins.  ``tail`` is the reducer
+    without its leading term, which always cancels exactly.  ``quotient``
+    is a dict that accumulates that reducer's quotient in place, so that
     f = sum(quotient_i * g_i) + r, or None when quotients are not wanted.
+    ``memo`` maps a monomial to the index of its first divisor, or to
+    ``~n`` when ``reducers[:n]`` hold none (see the module docstring).
     Returns the remainder as a fresh dict.
     """
     heap = [-m for m in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
+    nred = len(reducers)
     out = {}
     while heap:
         m = -heappop(heap)
-        c = work.get(m)
+        c = work.pop(m)
         if not c:
             continue
-        for lm, lcinv, g, qd in reducers:
-            if not (m - lm) & guard:
-                break
-        else:
-            out[m] = c
-            del work[m]
-            continue
+        k = memo.get(m, -1)
+        if k < 0:
+            for k in range(~k, nred):
+                if not (m - reducers[k][0]) & guard:
+                    memo[m] = k
+                    break
+            else:
+                memo[m] = ~nred
+                out[m] = c
+                continue
+        lm, lcinv, tail, qd = reducers[k]
         q = m - lm
         factor = (c * lcinv) % p
         if qd is not None:
@@ -142,22 +161,28 @@ def _nf(work, reducers, p, guard):
                 qd[q] = s
             else:
                 qd.pop(q, None)
-        for e2, c2 in g.items():
+        # Every new monomial is below m, so none is pushed twice; a
+        # cancelled one stays in ``work`` as 0 until it is popped.
+        for e2, c2 in tail.items():
             e = q + e2
-            prev = work.get(e, 0)
-            s = (prev - factor * c2) % p
-            if s:
-                if prev == 0:
-                    if e & guard:
-                        raise _Overflow
-                    heappush(heap, -e)
-                work[e] = s
+            prev = work.get(e)
+            if prev is None:
+                if e & guard:
+                    raise _Overflow
+                heappush(heap, -e)
+                work[e] = -factor * c2 % p
             else:
-                work.pop(e, None)
+                work[e] = (prev - factor * c2) % p
     return out
 
 
 # -- dict helpers ---------------------------------------------------------------
+
+
+def _tail(d, lm):
+    t = dict(d)
+    del t[lm]
+    return t
 
 
 def _scale(d, c, p):
@@ -260,11 +285,13 @@ def _reduce_basis(basis, lms, p, guard, reps=None):
     lms = [lms[i] for i in kept]
     if reps is not None:
         reps = [reps[i] for i in kept]
+    tails = [_tail(d, lm) for d, lm in zip(basis, lms)]
     for idx in range(len(basis)):
         others = [j for j in range(len(basis)) if j != idx]
-        reducers = [(lms[j], 1, basis[j], None if reps is None else {})
+        reducers = [(lms[j], 1, tails[j], None if reps is None else {})
                     for j in others]
-        basis[idx] = _nf(basis[idx], reducers, p, guard)
+        basis[idx] = _nf(basis[idx], reducers, p, guard, {})
+        tails[idx] = _tail(basis[idx], lms[idx])
         if reps is not None:
             _sub_quotients(reps[idx], reducers, [reps[j] for j in others], p,
                            guard)
@@ -289,7 +316,8 @@ def _buchberger(gens, p, pk, budget, track):
     basis = []
     lms = []
     reps = []
-    reducers = []   # (lm, 1, basis element, quotient dict or None)
+    reducers = []   # (lm, 1, tail, quotient dict or None)
+    memo = {}
     queue = _PairQueue(pk)
     pairs_processed = 0
     unit_rep = None
@@ -309,7 +337,7 @@ def _buchberger(gens, p, pk, budget, track):
         basis.append(d)
         lms.append(lm)
         reps.append(rep)
-        reducers.append((lm, 1, d, {} if track else None))
+        reducers.append((lm, 1, _tail(d, lm), {} if track else None))
         queue.update(lms, len(basis) - 1)
         return False
 
@@ -339,7 +367,7 @@ def _buchberger(gens, p, pk, budget, track):
         if track:
             for red in reducers:
                 red[3].clear()
-        r = _nf(s, reducers, p, guard)
+        r = _nf(s, reducers, p, guard, memo)
         if not r:
             continue
         rep = None
@@ -365,12 +393,13 @@ def _to_terms(d, pk):
 
 
 def _reducers(gens, p, quotients):
-    """Reducer tuples for the nonzero packed generators, in input order."""
+    """Reducer tuples for the nonzero packed generators, in input order;
+    each generator's leading term is popped, leaving its tail."""
     out = []
     for d, qd in zip(gens, quotients):
         if d:
             lm = max(d)
-            out.append((lm, pow(d[lm], p - 2, p), d, qd))
+            out.append((lm, pow(d.pop(lm), p - 2, p), d, qd))
     return out
 
 
@@ -378,7 +407,7 @@ def normal_form(f_terms, gens_terms, nvars, p, kind, split=None):
     def run(pk, polys):
         f, *gens = polys
         reducers = _reducers(gens, p, [None] * len(gens))
-        return _to_terms(_nf(f, reducers, p, pk.guard), pk)
+        return _to_terms(_nf(f, reducers, p, pk.guard, {}), pk)
     return _packed(nvars, kind, split, [f_terms, *gens_terms], run)
 
 
@@ -397,7 +426,7 @@ def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
     def run(pk, polys):
         f, *gens = polys
         quots = [dict() for _ in gens]
-        r = _nf(f, _reducers(gens, p, quots), p, pk.guard)
+        r = _nf(f, _reducers(gens, p, quots), p, pk.guard, {})
         return _to_terms(r, pk), [_to_terms(q, pk) for q in quots]
     return _packed(nvars, kind, split, [f_terms, *gens_terms], run)
 

@@ -1,7 +1,9 @@
 """Command-line front end for the engine and the verification suite.
 
-Exit codes: 0 success (for ``verify``: every check passed); 1 at least
-one check failed; 2 usage, parse, or data errors; 3 a basis computation
+Exit codes: 0 success (for ``verify``: every check passed; for
+``reverify``: every saved result re-verified); 1 at least one check
+failed or saved result was rejected; 2 usage, parse, or data errors,
+including a file that is not a JSON report; 3 a basis computation
 exceeded its pair budget.
 """
 
@@ -16,15 +18,18 @@ from pathlib import Path
 from . import numerics
 from .derivations import graded_kernel, parse_derivation
 from .errors import BudgetExceeded, EngineError
+from .fixtures import load_fixtures
 from .groebner import DEFAULT_BUDGET, buchberger
 from .rings import DEGREVLEX, LEX, PolyRing, is_prime, parse_poly
-from .suite import (BUDGET_EXCEEDED, CHECK_IDS, DEFAULT_SEED, PASS, report,
-                    run_all)
+from .suite import (BUDGET_EXCEEDED, CHECK_IDS, DEFAULT_SEED, PASS,
+                    CheckResult, report, run_all, verify_witness)
 
 USAGE_EXIT = 2
 BUDGET_EXIT = 3
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+_RESULT_FIELDS = {"id", "description", "status", "witness", "paper_anchor"}
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -55,6 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", parents=[shared],
                    help="run the 14-check verification suite")
+
+    rev = sub.add_parser("reverify",
+                         help="re-check the witnesses of a saved JSON report "
+                              "without a basis search")
+    rev.add_argument("report", help="output of `godeaux verify --format json`")
 
     kernel = sub.add_parser("kernel", parents=[shared],
                             help="graded kernel of a derivation")
@@ -182,6 +192,32 @@ def cmd_verify(args, settings) -> int:
     return 0
 
 
+def _load_report(path: str) -> list[CheckResult]:
+    payload = json.loads(Path(path).read_text())
+    if not (isinstance(payload, list) and payload and all(
+            isinstance(e, dict) and set(e) == _RESULT_FIELDS
+            and e["id"] in CHECK_IDS and isinstance(e["witness"], dict)
+            for e in payload)):
+        raise _Usage(f"{path} is not a JSON report of `godeaux verify`")
+    return [CheckResult(**e) for e in payload]
+
+
+def cmd_reverify(args, settings) -> int:
+    results = _load_report(args.report)
+    fixtures = load_fixtures()
+    rejected = 0
+    for r in results:
+        try:
+            ok = verify_witness(r, fixtures)
+        except (LookupError, TypeError, AttributeError):
+            ok = False  # a witness of the wrong shape proves nothing
+        rejected += not ok
+        print(f"{r.id:<4} {'verified' if ok else 'rejected'}")
+    print(f"{len(results)} results: {len(results) - rejected} verified, "
+          f"{rejected} rejected")
+    return 1 if rejected else 0
+
+
 def cmd_kernel(args, settings) -> int:
     text = Path(args.file).read_text()
     meta, body = _split_input(text)
@@ -257,6 +293,7 @@ def cmd_invariants(args, settings) -> int:
 
 _COMMANDS = {
     "verify": cmd_verify,
+    "reverify": cmd_reverify,
     "kernel": cmd_kernel,
     "groebner": cmd_groebner,
     "invariants": cmd_invariants,

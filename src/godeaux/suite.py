@@ -10,6 +10,7 @@ seed: two runs with equal seed produce byte-identical json reports.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import time
@@ -22,7 +23,8 @@ from .errors import BudgetExceeded, EngineError
 from .fixtures import CHARTS, FixtureSet, load_fixtures, patched_text
 from .groebner import (DEFAULT_BUDGET, SMOOTH, SMOOTH_ON_LOCUS,
                        CombinationWitness, SmoothnessCertificate, ideal_member,
-                       jacobian_smoothness, radical_member, ring_map_kernel)
+                       jacobian_minors, jacobian_smoothness, radical_member,
+                       ring_map_kernel)
 from .rings import (Polynomial, dehomogenize, frobenius_power,
                     laurent_normalize, parse_poly, substitute)
 
@@ -699,7 +701,9 @@ def _reverify_smoothness(ctx: SuiteContext, check_id: str, w: dict) -> bool:
         minors=unit.generators[nrel:nmin], locus=unit.generators[nmin:],
         codim=w["codim"], unit_witness=unit, residual=None,
         pairs_processed=w["pairs_processed"])
-    if not cert.verify():
+    if (len(cert.generators) < _ADJUNCTION_CODIM
+            or tuple(jacobian_minors(cert.generators, _ADJUNCTION_CODIM))
+            != cert.minors or not cert.verify()):
         return False
     if check_id == "C10":
         images = ctx.adjunction_images("x1")
@@ -728,11 +732,12 @@ def verify_witness(result: CheckResult,
     the unit witnesses of C8-C10) must state the expected target over the
     expected generators, with remainder zero, and expand back to its
     target; C7 needs one per relation on each side.  C8-C10 must carry the
-    expected verdict, codim and locus, and C10's relations must vanish
+    expected verdict, codim and locus, their minors must be the Jacobian
+    minors of their saved relations, and C10's relations must vanish
     under the chart-x1 images.  C12 depends on the seed, so its element is
     checked instead: killed by the field, with the recorded nonzero value
-    at the fixed point.  The eliminated kernels of C7 and C9 and the
-    Jacobian minors are read from the witness, not recomputed.
+    at the fixed point.  The eliminated kernels of C7 and C9 are read from
+    the witness, not recomputed.
     """
     if result.status != PASS:
         return False
@@ -794,4 +799,41 @@ MUTATIONS = (
              "1 9 1", "1 8 1"),
     Mutation("de-rham-middle", "cohomology_tables.txt",
              "2 = 11", "2 = 10"),
+)
+
+
+# -- canned report tamperings --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Tampering:
+    """One hand edit of a saved JSON report that re-verification rejects."""
+
+    name: str
+    check_id: str
+    path: tuple  # keys and list indices into the check's witness
+    old: object
+    new: object
+
+    def apply(self, payload: list) -> list:
+        """A copy of a parsed JSON report with this one value edited."""
+        payload = copy.deepcopy(payload)
+        node = next(e for e in payload if e["id"] == self.check_id)["witness"]
+        *parents, last = self.path
+        for key in parents:
+            node = node[key]
+        if node[last] != self.old:
+            raise ValueError(f"{self.name}: expected {self.old!r} at "
+                             f"{self.path}, found {node[last]!r}")
+        node[last] = self.new
+        return payload
+
+
+REPORT_TAMPERINGS = (
+    Tampering("edited-cofactor", "C2",
+              ("powers", "x2", "witness", "cofactors", 2), "1", "2"),
+    Tampering("edited-remainder", "C9", ("unit_witness", "remainder"),
+              "0", "1"),
+    Tampering("edited-radical-exponent", "C2", ("powers", "x1", "exponent"),
+              4, 3),
 )

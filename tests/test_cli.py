@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from godeaux import backend
 from godeaux.cli import main
 from godeaux.rings import DEGREVLEX, PolyRing, parse_poly
+from godeaux.suite import REPORT_TAMPERINGS
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 
@@ -76,6 +78,56 @@ class TestVerify:
     def test_budget_exit_code(self, capsys):
         assert main(["verify", "--budget", "1", "--only", "C7"]) == 3
         assert "budget-exceeded" in capsys.readouterr().out
+
+
+class TestReverify:
+    def write(self, tmp_path, payload):
+        path = tmp_path / "report.json"
+        path.write_text(payload if isinstance(payload, str)
+                        else json.dumps(payload))
+        return str(path)
+
+    def test_golden_report_reverifies(self, capsys):
+        assert main(["reverify", str(GOLDEN)]) == 0
+        assert "14 results: 14 verified, 0 rejected" in \
+            capsys.readouterr().out
+
+    @pytest.mark.parametrize("tampering", REPORT_TAMPERINGS,
+                             ids=lambda t: t.name)
+    def test_tampered_report_exits_one(self, tampering, tmp_path, capsys):
+        golden = json.loads(GOLDEN.read_text())
+        path = self.write(tmp_path, tampering.apply(golden))
+        assert main(["reverify", path]) == 1
+        out = capsys.readouterr().out
+        assert f"{tampering.check_id:<4} rejected" in out
+        assert "13 verified, 1 rejected" in out
+
+    def test_witness_of_the_wrong_shape_is_rejected(self, tmp_path, capsys):
+        golden = json.loads(GOLDEN.read_text())
+        golden[1]["witness"] = {}
+        assert main(["reverify", self.write(tmp_path, golden)]) == 1
+
+    @pytest.mark.parametrize("payload", [
+        "{", "[]", "[1]", {"id": "C1"},
+        [{"id": "C99", "description": "", "status": "pass", "witness": {},
+          "paper_anchor": ""}],
+        [{"id": "C1", "status": "pass", "witness": {}}]],
+        ids=["not-json", "empty", "not-objects", "not-a-list", "unknown-id",
+             "missing-fields"])
+    def test_malformed_report_exits_two(self, payload, tmp_path, capsys):
+        assert main(["reverify", self.write(tmp_path, payload)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        assert main(["reverify", str(tmp_path / "absent.json")]) == 2
+
+    def test_calls_no_kernel(self, monkeypatch, capsys):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("reverify called a Groebner kernel")
+
+        monkeypatch.setattr(backend, "get", no_kernel)
+        monkeypatch.setattr(backend, "for_ring", no_kernel)
+        assert main(["reverify", str(GOLDEN)]) == 0
 
 
 class TestKernel:

@@ -257,6 +257,76 @@ def test_wide_lex_exponent_reruns_wider(monkeypatch):
     assert widths == [8, 16]
 
 
+def test_lex_tower_reruns_with_a_fresh_memo(monkeypatch):
+    # z^65536 needs 17 bits.  The inputs' degree 256 gives a first width
+    # of 18; from the narrowest width, 9 bits, the call overflows and
+    # reruns at 18, where a memo kept from the first run would be stale.
+    ring = PolyRing(("x", "y", "z"), 5, LEX)
+    gens = [parse_poly(ring, t) for t in ("x - y^256", "y - z^256", "x - 1")]
+    expected = [parse_poly(ring, t)
+                for t in ("x - 1", "y - z^256", "z^65536 - 1")]
+    widths = _record_widths(monkeypatch)
+    assert list(buchberger(gens, backend_name="pure")) == expected
+    assert widths == [18]
+    del widths[:]
+    starts = []  # (run, memo, its size) as each normal form starts
+    nf = _kernel_pure._nf
+
+    def recording(work, reducers, p, guard, memo):
+        starts.append((len(widths), memo, len(memo)))
+        return nf(work, reducers, p, guard, memo)
+
+    monkeypatch.setattr(_kernel_pure, "_nf", recording)
+    monkeypatch.setattr(_kernel_pure, "_first_width", int.bit_length)
+    assert list(buchberger(gens, backend_name="pure")) == expected
+    assert widths == [9, 18]
+    (stale,) = [memo for run, memo, _ in starts if run == 1]
+    fresh, size = next((memo, size) for run, memo, size in starts if run == 2)
+    assert stale and fresh is not stale and size == 0
+
+
+class TestFirstDivisorMemo:
+    """``_nf`` with the memo one Buchberger run keeps across its pairs."""
+
+    PK = _kernel_pure._Packing(2, "lex", None, 8)
+
+    def reducer(self, lead, tail, quotient=None):
+        """A monic reducer x^a*y^b + sum(c * x^i*y^j) as ``_nf`` takes it."""
+        enc = self.PK.enc
+        return (enc(lead), 1, {enc(e): c for e, c in tail.items()}, quotient)
+
+    def nf(self, exps, reducers, memo):
+        enc = self.PK.enc
+        out = _kernel_pure._nf({enc(exps): 1}, reducers, 5, self.PK.guard,
+                               memo)
+        return {self.PK.dec(m): c for m, c in out.items()}
+
+    def test_miss_then_appended_reducer(self):
+        m = self.PK.enc((2, 1))
+        # y^2 + 1 and x^3 + 1 do not divide x^2*y
+        reducers = [self.reducer((0, 2), {(0, 0): 1}),
+                    self.reducer((3, 0), {(0, 0): 1})]
+        memo = {}
+        assert self.nf((2, 1), reducers, memo) == {(2, 1): 1}
+        assert memo[m] == ~2
+        reducers.append(self.reducer((1, 1), {(0, 0): 4}))  # x*y - 1
+        assert self.nf((2, 1), reducers, memo) == {(1, 0): 1}
+        assert memo[m] == 2
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_earlier_of_two_divisors_wins(self, first):
+        # x*y - 1 leaves x, x^2 - y leaves y^2: both divide x^2*y
+        by_xy = self.reducer((1, 1), {(0, 0): 4}, {})
+        by_x2 = self.reducer((2, 0), {(0, 1): 4}, {})
+        reducers = [by_xy, by_x2] if first == 0 else [by_x2, by_xy]
+        memo = {}
+        remainder = self.nf((2, 1), reducers, memo)
+        assert memo[self.PK.enc((2, 1))] == 0
+        used, unused = reducers[0][3], reducers[1][3]
+        assert unused == {} and len(used) == 1
+        assert remainder == ({(1, 0): 1} if first == 0 else {(0, 2): 1})
+
+
 class TestMembership:
     def test_member_with_witness(self):
         gens = [p2("x^2 - y"), p2("y^2 - 1")]

@@ -52,6 +52,15 @@ def _codim_one(w):
     w["codim"] = 1
 
 
+def _forged_minor(w):
+    w["minors"][0] = "1"
+    gens = w["relations"] + w["minors"] + w["locus"]
+    cofactors = ["0"] * len(gens)
+    cofactors[len(w["relations"])] = "1"
+    w["unit_witness"].update(generators=gens, cofactors=cofactors,
+                             remainder="0")
+
+
 TAMPERINGS = (
     ("C8", _unit_witness_from_remainder),
     ("C9", _unit_witness_from_remainder),
@@ -61,6 +70,8 @@ TAMPERINGS = (
     ("C9", _unit_locus),
     ("C9", _trivial_relations),
     ("C8", _codim_one),
+    ("C9", _forged_minor),
+    ("C10", _forged_minor),
 )
 
 
