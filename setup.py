@@ -2,14 +2,9 @@
 
 The package is fully functional without the extension (a pure-Python
 backend is selected at import time), so compilation failures only
-cost speed, never correctness.
-
-With Cython installed the extension is cythonized from ``_kernel.pyx``;
-without it, the tracked Cython output ``_kernel.c`` is compiled, so a C
-compiler is all a build needs.
+cost speed, never correctness.  The extension is one hand-written C
+source, ``src/godeaux/_kernel.c``; a C compiler is all a build needs.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -40,17 +35,5 @@ class OptionalBuildExt(build_ext):
         )
 
 
-def extensions():
-    if os.environ.get("GODEAUX_NO_EXTENSION") == "1":
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return [Extension("godeaux._kernel", ["src/godeaux/_kernel.c"])]
-    return cythonize(
-        [Extension("godeaux._kernel", ["src/godeaux/_kernel.pyx"])],
-        language_level=3,
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("godeaux._kernel", ["src/godeaux/_kernel.c"])],
+      cmdclass={"build_ext": OptionalBuildExt})

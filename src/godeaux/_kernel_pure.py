@@ -1,12 +1,15 @@
 """Pure-Python Groebner kernel: reference implementation.
 
-The compiled extension (``godeaux._kernel``) mirrors this module
-step-for-step — same pair selection, same pruning, same reduction,
-same canonical output — so the two backends are interchangeable and
-byte-for-byte comparable.  Reduction and Buchberger are each written
-once; recording quotients and cofactors over the inputs is an option of
-that one path (``normal_form_tracked``, ``buchberger_tracked``), offered
-only here.  The compiled backend accelerates the untracked hot paths.
+The compiled extension (``godeaux._kernel``, hand-written C) mirrors
+this module step-for-step — same pair selection, same pruning, same
+reduction, same canonical output — so the two backends are
+interchangeable and byte-for-byte comparable.  Reduction and Buchberger
+are each written once; recording quotients and cofactors over the inputs
+is an option of that one path (``normal_form_tracked``,
+``buchberger_tracked``), offered only here.  The compiled backend
+accelerates the untracked calls within fixed 16-bit fields; where a
+monomial outgrows them it raises OverflowError and ``groebner`` reruns
+the call here, where the width grows as needed (below).
 
 Boundary format: a polynomial is a list of ``(exponent_tuple, coeff)``
 pairs with distinct exponents and coefficients in [1, p).  Outputs are

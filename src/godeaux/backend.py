@@ -3,17 +3,20 @@
 Two interchangeable kernels ship with the package:
 
 * ``godeaux._kernel_pure`` — the pure-Python reference, always available;
-* ``godeaux._kernel`` — a compiled extension with identical semantics
-  (same pair selection, pruning, reduction rule, budget behaviour, and
-  canonical output), built at install time when a C toolchain exists.
+* ``godeaux._kernel`` — a hand-written C extension with identical
+  semantics (same pair selection, pruning, reduction rule, budget
+  behaviour, and canonical output), built at install time when a C
+  compiler exists.
 
 The environment variable ``GODEAUX_BACKEND`` picks the default:
 ``pure`` forces the reference kernel, ``compiled`` demands the
 extension (raising if it is missing), and ``auto`` (or unset) prefers
-the extension when importable.  Individual calls still route to the
-pure kernel when they are outside the extension's static limits: more
-than ``MAX_VARS`` variables, a modulus of at least
-``MAX_COEFF_MODULUS``, or an input of total degree above ``MAX_FIELD``.
+the extension when importable.  ``for_ring`` still sends a ring outside
+the extension's static limits to the pure kernel: more than
+``MAX_VARS`` variables, or a modulus of at least ``MAX_COEFF_MODULUS``.
+Degrees are not checked up front: the extension raises OverflowError
+when a monomial field would exceed ``MAX_FIELD``, at the inputs or
+mid-run, and ``groebner`` reruns that call on the pure kernel.
 """
 
 from __future__ import annotations
@@ -64,15 +67,11 @@ def get(name: str | None = None):
     raise ValueError(f"unknown backend {name!r}")
 
 
-def for_ring(nvars: int, p: int, name: str | None = None, degree: int = 0):
-    """The kernel for a call in a ring, honouring the extension's limits.
-
-    ``degree`` is the largest total degree among the call's inputs.
-    """
+def for_ring(nvars: int, p: int, name: str | None = None):
+    """The kernel for a call in a ring, honouring the extension's limits."""
     mod = get(name)
     if mod is _kernel_pure:
         return mod
-    if (nvars > mod.MAX_VARS or p >= mod.MAX_COEFF_MODULUS
-            or degree > mod.MAX_FIELD):
+    if nvars > mod.MAX_VARS or p >= mod.MAX_COEFF_MODULUS:
         return _kernel_pure
     return mod

@@ -4,8 +4,9 @@ Reduction, Buchberger with a processed-pair budget, membership with
 re-verifiable cofactor witnesses, radical membership, elimination,
 ring-map kernels via graph ideals, and Jacobian smoothness certificates.
 The heavy loops run in the selected kernel backend (compiled when
-available); cofactor tracking always runs on the pure kernel, whose
-results are byte-identical by construction.
+available); a call that overflows the compiled kernel's monomial fields
+reruns on the pure kernel, and cofactor tracking always runs on the pure
+kernel, whose results are byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -49,10 +50,28 @@ def _from_terms(ring: PolyRing, terms) -> Polynomial:
     return Polynomial._raw(ring, dict(terms))
 
 
-def _kernel_for(ring: PolyRing, backend_name: str | None,
-                polys: Sequence[Polynomial]):
-    degree = max((f.total_degree() for f in polys), default=0)
-    return _backend.for_ring(ring.nvars, ring.p, backend_name, degree)
+def _run_kernel(ring: PolyRing, backend_name: str | None, fn: str, *args,
+                **kwargs):
+    """``fn(*args, nvars, p, kind, split=..., **kwargs)`` on the ring's kernel.
+
+    Returns ``(result, backend name)``.  The compiled kernel raises
+    OverflowError when a monomial outgrows its fields, at the inputs or
+    mid-run; the call then reruns on the pure kernel.
+    """
+    kind, split = _order_args(ring)
+
+    def call(kern):
+        return (getattr(kern, fn)(*args, ring.nvars, ring.p, kind,
+                                  split=split, **kwargs), kern.BACKEND_NAME)
+
+    kern = _backend.for_ring(ring.nvars, ring.p, backend_name)
+    try:
+        return call(kern)
+    except OverflowError:
+        pure = _backend.get("pure")
+        if kern is pure:
+            raise
+        return call(pure)
 
 
 # -- results ------------------------------------------------------------------
@@ -177,10 +196,8 @@ def reduce(f: Polynomial, reducers, backend_name: str | None = None) -> Polynomi
     live = [g for g in polys if not g.is_zero()]
     if f.is_zero() or not live:
         return f
-    kern = _kernel_for(ring, backend_name, [f] + live)
-    kind, split = _order_args(ring)
-    out = kern.normal_form(f.items_sorted(), _to_termlists(live),
-                           ring.nvars, ring.p, kind, split=split)
+    out, _ = _run_kernel(ring, backend_name, "normal_form", f.items_sorted(),
+                         _to_termlists(live))
     return _from_terms(ring, out)
 
 
@@ -206,14 +223,11 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
     """
     ring = _common_ring(list(gens))
     live = [g for g in gens if not g.is_zero()]
-    kern = _kernel_for(ring, backend_name, live)
-    kind, split = _order_args(ring)
-    basis_terms, pairs = kern.buchberger(_to_termlists(live), ring.nvars,
-                                         ring.p, kind, split=split,
-                                         budget=budget)
+    (basis_terms, pairs), name = _run_kernel(
+        ring, backend_name, "buchberger", _to_termlists(live), budget=budget)
     polys = tuple(_from_terms(ring, t) for t in basis_terms)
     return GroebnerBasis(ring=ring, polynomials=polys, pairs_processed=pairs,
-                         backend=getattr(kern, "BACKEND_NAME", "?"))
+                         backend=name)
 
 
 def _tracked_basis(gens: Sequence[Polynomial], budget: int | None):

@@ -737,7 +737,8 @@ def verify_witness(result: CheckResult,
     under the chart-x1 images.  C12 depends on the seed, so its element is
     checked instead: killed by the field, with the recorded nonzero value
     at the fixed point.  The eliminated kernels of C7 and C9 are read from
-    the witness, not recomputed.
+    the witness, not recomputed.  A witness of the wrong shape (a missing
+    key, a list where a mapping belongs) reads as ``False``.
     """
     if result.status != PASS:
         return False
@@ -756,8 +757,8 @@ def verify_witness(result: CheckResult,
             return _reverify_c7(ctx, w)
         if rid == "C12":
             return _reverify_c12(ctx, w)
-    except (_Failure, EngineError):
-        return False
+    except (_Failure, EngineError, LookupError, TypeError, AttributeError):
+        return False  # a witness of the wrong shape proves nothing
     raise ValueError(f"unknown check id {rid!r}")
 
 

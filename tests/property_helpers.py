@@ -8,16 +8,17 @@ tests and the acceptance gate, which re-reads the same outcomes.
 
 from __future__ import annotations
 
+import os
 import random
 
-from godeaux import _kernel_pure
+from godeaux import _kernel_pure, backend
 from godeaux.backend import available_backends
 from godeaux.derivations import Derivation, apply, chart_transform, graded_kernel
 from godeaux.errors import BudgetExceeded
 from godeaux.fixtures import load_fixtures
 from godeaux.groebner import buchberger, reduce, spolynomial
 from godeaux.rings import (DEGREVLEX, LEX, MonomialOrder, PolyRing,
-                           frobenius_power)
+                           block_order, frobenius_power)
 
 CASE_TARGET = 1000
 
@@ -298,6 +299,98 @@ def packed_encoding(n: int = CASE_TARGET):
     return n, failures[:5]
 
 
+def _boundary_cases(rng: random.Random, limit: int):
+    """(label, generators, hand-known basis or None, polynomial to reduce)."""
+    for order in (LEX, block_order(1)):
+        ring = PolyRing(("x", "y", "z"), 5, order)
+        x, y, z = ring.gens()
+        # z^(k^2) outgrows 16-bit fields from k = 256 on; x - y^k with
+        # x^2 - 1 needs y^(2k), past the limit from k = 2^15 on.
+        for k in (255, 256, 257, rng.randrange(240, 272)):
+            yield (f"{order} tower k={k}", [x - y ** k, y - z ** k, x - 1],
+                   [x - 1, y - z ** k, z ** (k * k) - 1]
+                   if order == LEX else None, x)
+        for k in (2 ** 15 - 1, 2 ** 15, 2 ** 16 - 1, 2 ** 16,
+                  rng.randrange(2 ** 16 - 16, 2 ** 16 + 16)):
+            yield (f"{order} square k={k}", [x - y ** k, x ** 2 - 1],
+                   [x - y ** k, y ** (2 * k) - 1], x ** 2)
+    for order in (DEGREVLEX, LEX, block_order(1)):
+        ring = PolyRing(("x", "y"), 5, order)
+        x, y = ring.gens()
+        for degree in (limit, limit + 1):
+            a, c = rng.randrange(1, 4), ring.constant(rng.randrange(1, 5))
+            yield (f"{order} degree {degree}",
+                   [x ** a * y ** (degree - a) - c, x - 1],
+                   [x - 1, y ** (degree - a) - c], x ** a * y ** (degree - a))
+    # A rational point: x_i - x_{i+1}^e_i, x_last - c; the basis is
+    # x_i - a_i in every order.
+    for nvars, p in ((16, 5), (17, 5), (3, 2147483629), (3, 2147483659),
+                     (16, 2147483629), (17, 2147483659)):
+        for order in (DEGREVLEX, LEX, block_order(nvars // 2)):
+            ring = PolyRing([f"x{i}" for i in range(nvars)], p, order)
+            xs = ring.gens()
+            values = [rng.randrange(1, p)]
+            gens = [xs[-1] - ring.constant(values[0])]
+            for i in range(nvars - 2, -1, -1):
+                e = rng.randrange(1, 4)
+                values.insert(0, pow(values[0], e, p))
+                gens.append(xs[i] - xs[i + 1] ** e)
+            rng.shuffle(gens)
+            yield (f"{nvars} variables p={p} {order}", gens,
+                   [v - ring.constant(a) for v, a in zip(xs, values)],
+                   xs[-2] * xs[-1] + 1)
+    for p in (2147483629, 2147483659):
+        ring = PolyRing(("x", "y", "z"), p, DEGREVLEX)
+        for _ in range(6):
+            gens = [ring.from_terms({e: rng.randrange(p) for e in
+                                     _random_poly(rng, ring, 3, 3).terms()})
+                    for _ in range(rng.randrange(2, 4))]
+            yield f"p={p} random", gens, None, _random_poly(rng, ring, 4, 3)
+
+
+def boundary_mirror():
+    """The kernels at the compiled kernel's limits, under
+    ``GODEAUX_BACKEND=auto``: lex and block towers whose degrees outgrow
+    its 16-bit fields mid-run (k near 2^8 and 2^16), inputs of total
+    degree ``MAX_FIELD`` and ``MAX_FIELD + 1``, 16 and 17 variables, and
+    moduli just below and above 2^31.  Each basis and pair count, and one
+    normal form, must equal the pure kernel's, and the basis must be the
+    hand-known one where there is one."""
+    if "compiled" not in available_backends():
+        return 0, ["compiled backend unavailable"]
+    rng = random.Random(1111)
+    failures = []
+    cases = 0
+    saved = os.environ.get("GODEAUX_BACKEND")
+    os.environ["GODEAUX_BACKEND"] = "auto"
+    try:
+        limit = backend.get().MAX_FIELD
+        for label, gens, expected, f in _boundary_cases(rng, limit):
+            cases += 1
+            try:
+                auto = buchberger(gens, budget=None)
+                pure = buchberger(gens, budget=None, backend_name="pure")
+                same_nf = reduce(f, gens) == reduce(f, gens,
+                                                    backend_name="pure")
+            except Exception as exc:  # a crash fails this case only
+                failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                continue
+            if ((auto.polynomials, auto.pairs_processed)
+                    != (pure.polynomials, pure.pairs_processed)):
+                failures.append(f"{label}: auto and pure bases differ")
+            if expected is not None and sorted(map(str, pure)) != sorted(
+                    map(str, expected)):
+                failures.append(f"{label}: not the hand-known basis")
+            if not same_nf:
+                failures.append(f"{label}: normal forms differ")
+    finally:
+        if saved is None:
+            del os.environ["GODEAUX_BACKEND"]
+        else:
+            os.environ["GODEAUX_BACKEND"] = saved
+    return cases, failures[:5]
+
+
 SUITES = {
     "ring_axioms": ring_axioms,
     "leibniz": leibniz,
@@ -309,6 +402,7 @@ SUITES = {
     "cross_backend_mirror": cross_backend_mirror,
     "tracked_mirror": tracked_mirror,
     "packed_encoding": packed_encoding,
+    "boundary_mirror": boundary_mirror,
 }
 
 #: Suites the acceptance gate requires to reach CASE_TARGET cases.

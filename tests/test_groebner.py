@@ -126,13 +126,45 @@ class TestReduction:
 
 
 class TestBackendRouting:
-    """Inputs above the compiled kernel's degree limit run on the pure one."""
+    """The compiled kernel raises OverflowError where a monomial field
+    would exceed MAX_FIELD, at the inputs or mid-run; ``groebner`` reruns
+    that call on the pure kernel and reports ``backend == "pure"``."""
 
-    def test_for_ring_routes_on_degree(self):
+    def test_input_above_max_field_reruns_on_pure(self, monkeypatch):
+        monkeypatch.setenv("GODEAUX_BACKEND", "auto")
         compiled = backend.get("compiled")
-        assert backend.for_ring(2, 5, None, compiled.MAX_FIELD) is compiled
-        assert backend.for_ring(2, 5, None, compiled.MAX_FIELD + 1) \
-            is _kernel_pure
+        x = R2.gen("x")
+        for degree, name in ((compiled.MAX_FIELD, "compiled"),
+                             (compiled.MAX_FIELD + 1, "pure")):
+            gens = [x ** degree - 1, x ** 2 - 1]
+            if name == "pure":
+                with pytest.raises(OverflowError):
+                    compiled.buchberger([g.items_sorted() for g in gens],
+                                        2, 5, "degrevlex")
+            gb = buchberger(gens)
+            assert gb.backend == name
+            assert gb.polynomials == buchberger(
+                gens, backend_name="pure").polynomials
+
+    def test_mid_run_overflow_reruns_on_pure(self, monkeypatch):
+        # Inputs of degree 256 whose basis needs z^65536.
+        monkeypatch.setenv("GODEAUX_BACKEND", "auto")
+        compiled = backend.get("compiled")
+        ring = PolyRing(("x", "y", "z"), 5, LEX)
+        gens = [parse_poly(ring, t)
+                for t in ("x - y^256", "y - z^256", "x - 1")]
+        terms = [g.items_sorted() for g in gens]
+        with pytest.raises(OverflowError):
+            compiled.buchberger(terms, 3, 5, "lex")
+        gb = buchberger(gens)
+        assert gb.backend == "pure"
+        assert list(gb) == [parse_poly(ring, t)
+                            for t in ("x - 1", "y - z^256", "z^65536 - 1")]
+        x = parse_poly(ring, "x")
+        with pytest.raises(OverflowError):
+            compiled.normal_form(x.items_sorted(), terms[:2], 3, 5, "lex")
+        assert reduce(x, gens[:2]) == parse_poly(ring, "z^65536") \
+            == reduce(x, gens[:2], backend_name="pure")
 
     def test_auto_equals_pure_above_degree_limit(self, monkeypatch):
         monkeypatch.setenv("GODEAUX_BACKEND", "auto")

@@ -67,6 +67,12 @@ def test_packed_encoding(property_outcomes):
     assert failures == []
 
 
+def test_boundary_mirror(property_outcomes):
+    cases, failures = property_outcomes["boundary_mirror"]
+    assert cases >= 50
+    assert failures == []
+
+
 def test_every_required_suite_clean(property_outcomes):
     for name in property_helpers.REQUIRED_SUITES:
         cases, failures = property_outcomes[name]

@@ -164,6 +164,17 @@ class TestWitnesses:
         tampering(witness)
         assert not verify_witness(replace(result, witness=witness), fixtures)
 
+    @pytest.mark.parametrize("check_id,witness", [
+        ("C2", {}),
+        ("C9", {"verdict": "smooth-on-locus"}),  # C9's verdict, no codim
+        ("C7", {"membership": []}),
+    ], ids=["C2-empty", "C9-verdict_only", "C7-membership_list"])
+    def test_reverify_rejects_wrong_shape(self, suite_results, fixtures,
+                                          check_id, witness):
+        result = next(r for r in suite_results if r.id == check_id)
+        assert verify_witness(replace(result, witness=witness),
+                              fixtures) is False
+
     def test_reverify_calls_no_kernel(self, suite_results, fixtures,
                                       monkeypatch):
         def no_kernel(*args, **kwargs):
