@@ -15,9 +15,10 @@
    word addition (no field carries into its neighbour), a quotient is
    word subtraction, and ``a`` divides ``m`` iff no guard bit of
    ``m - a`` is set: a field of ``m`` below that of ``a`` borrows into
-   its own guard.  An input, product or lcm with a field above MAX_FIELD
-   raises OverflowError and never wraps; ``groebner`` then reruns the
-   call on the pure kernel, which widens its fields as needed.
+   its own guard.  An input, a product, or the lcm of a pair that is not
+   coprime, with a field above MAX_FIELD raises OverflowError and never
+   wraps; ``groebner`` then reruns the call on the pure kernel, which
+   widens its fields as needed.
 
    Polynomials are arrays of terms, largest monomial first; a term is
    ``nw + 1`` words, the monomial and then the coefficient.
@@ -577,12 +578,19 @@ static int pairs_update(const Ring *r, Pairs *P, const Set *B)
             coprime &= !a || !b;
         }
         c[i] = (Pair){.i = i, .j = t, .deg = deg, .alive = coprime ? 2 : 1};
-        if (encode(r, e, c[i].l) < 0) goto done;
+        if (encode(r, e, c[i].l) < 0) {
+            if (!coprime) goto done;
+            /* A coprime pair is never queued, and an lcm past the field
+               limit divides no lcm within it: it drops out.  Its guard
+               bits are set, so it equals no valid lcm either. */
+            PyErr_Clear();
+            c[i].alive = 0;
+            memset(c[i].l, 0xFF, sizeof c[i].l);
+        }
     }
     for (ssize i = 0; i < t; i++)     /* 2 marks a coprime pair */
         for (ssize j = 0; c[i].alive == 1 && j < t; j++)
-            if (j != i && (j > i || c[j].alive)
-                && mdivides(c[j].l, c[i].l, nw))
+            if (j != i && c[j].alive && mdivides(c[j].l, c[i].l, nw))
                 c[i].alive = 0;
     for (ssize k = 0; k < P->nh; k++) {
         Pair *q = &P->v[P->heap[k]];

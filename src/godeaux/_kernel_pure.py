@@ -29,9 +29,11 @@ are encoded once on entry and decoded once on exit.
 
 The width is twice the bit length of the inputs' largest total degree,
 which bounds every field, and at least 8.  A product that carries into a
-guard bit, or an lcm whose degree does not fit, raises ``_Overflow`` and
-the call reruns at twice the width; being deterministic, the rerun gives
-what a wide enough first run would have, pair count included.
+guard bit, or the lcm of a pair that is not coprime whose degree does
+not fit, raises ``_Overflow`` and the call reruns at twice the width;
+being deterministic, the rerun gives what a wide enough first run would
+have, pair count included.  A coprime pair is never queued, and an lcm
+past the width divides no lcm within it, so such an lcm drops out.
 
 Algorithm notes:
 
@@ -229,15 +231,23 @@ class _PairQueue:
         for ei in self.exps:
             e = tuple(map(max, ei, et))
             deg = sum(e)
-            if deg > pk.mask:
+            if deg <= pk.mask:
+                lcms.append(pk.enc(e))
+            elif any(map(min, ei, et)):
                 raise _Overflow
-            lcms.append(pk.enc(e))
+            else:
+                # A coprime pair is never queued, and an lcm past the
+                # field limit divides no lcm within it: it drops out.
+                lcms.append(None)
             degs.append(deg)
         self.exps.append(et)
         kept = []
         for i, l in enumerate(lcms):
+            if l is None:
+                continue
             if l != lms[i] + lt:
-                dominated = any(not (l - l2) & guard for l2 in lcms[i + 1:]) \
+                dominated = any(not (l - l2) & guard for l2 in lcms[i + 1:]
+                                if l2 is not None) \
                     or any(not (l - lcms[k]) & guard for k in kept)
                 if dominated:
                     continue

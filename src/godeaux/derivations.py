@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ContextError, GradingError, ParseError, TransformError
-from .rings import (DEGREVLEX, PolyRing, Polynomial, dehomogenize,
-                    monomial_basis, parse_poly)
+from .rings import (DEGREVLEX, PolyRing, Polynomial, add_product,
+                    dehomogenize, monomial_basis, parse_poly)
 
 
 class Derivation:
@@ -54,17 +54,22 @@ class Derivation:
 
 
 def apply(delta: Derivation, f: Polynomial) -> Polynomial:
-    """delta(f) = sum over variables of image_i * df/dx_i (Leibniz chain)."""
-    if f.ring != delta.ring:
+    """delta(f) = sum over variables of image_i * df/dx_i (Leibniz chain).
+
+    The products are summed unreduced into one map and reduced mod p once.
+    """
+    ring = delta.ring
+    if f.ring is not ring and f.ring != ring:
         raise ContextError("polynomial belongs to a different ring")
-    total = delta.ring.zero()
+    p = ring.p
+    sums: dict = {}
     for i, g in enumerate(delta.images):
-        if g.is_zero():
-            continue
-        part = f.derivative(i)
-        if not part.is_zero():
-            total = total + g * part
-    return total
+        if g._terms:
+            # df/dx_i, unreduced; exponents divisible by p differentiate to 0
+            part = {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+                    for exps, c in f._terms.items() if exps[i] % p}
+            add_product(sums, part, g._terms)
+    return Polynomial._from_sums(ring, sums)
 
 
 def iterate_power(delta: Derivation, m: int) -> Derivation:

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 from . import backend as _backend
 from .errors import ContextError, EngineError
-from .rings import DEGREVLEX, PolyRing, Polynomial, block_order, substitute
+from .rings import (DEGREVLEX, PolyRing, Polynomial, add_product, block_order,
+                    substitute)
 
 DEFAULT_BUDGET = 100000
 
@@ -117,10 +118,14 @@ class CombinationWitness:
         return self.remainder.is_zero()
 
     def verify(self) -> bool:
-        acc = self.remainder
+        ring = self.remainder.ring
+        sums = dict(self.remainder._terms)
         for cof, gen in zip(self.cofactors, self.generators):
-            acc = acc + cof * gen
-        return acc == self.target
+            for f in (cof, gen):
+                if f.ring is not ring and f.ring != ring:
+                    raise ContextError("operands belong to different rings")
+            add_product(sums, cof._terms, gen._terms)
+        return Polynomial._from_sums(ring, sums) == self.target
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ mechanism.
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContextError, DivisibilityError, GradingError, ParseError
@@ -98,7 +99,7 @@ def block_order(split: int) -> MonomialOrder:
 class PolyRing:
     """Context object: variable names, characteristic, monomial order."""
 
-    __slots__ = ("p", "variables", "order", "_index")
+    __slots__ = ("p", "variables", "order", "nvars", "_index")
 
     def __init__(self, variables: Sequence[str], p: int = 5,
                  order: MonomialOrder = DEGREVLEX):
@@ -117,11 +118,8 @@ class PolyRing:
         self.p = p
         self.variables = variables
         self.order = order
+        self.nvars = len(variables)
         self._index = {name: i for i, name in enumerate(variables)}
-
-    @property
-    def nvars(self) -> int:
-        return len(self.variables)
 
     def var_index(self, var) -> int:
         if isinstance(var, int):
@@ -194,6 +192,8 @@ class PolyRing:
                         order if order is not None else self.order)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PolyRing):
             return NotImplemented
         return (self.p == other.p and self.variables == other.variables
@@ -225,7 +225,7 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != n:
                 raise ValueError(f"exponent tuple {exps} has wrong arity for {ring!r}")
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
             c %= p
             if c:
@@ -240,6 +240,12 @@ class Polynomial:
         self.ring = ring
         self._terms = canonical_terms
         return self
+
+    @classmethod
+    def _from_sums(cls, ring, sums) -> "Polynomial":
+        """Reduce a map of unreduced integer coefficients mod p, once."""
+        p = ring.p
+        return cls._raw(ring, {e: r for e, c in sums.items() if (r := c % p)})
 
     # -- inspection -----------------------------------------------------------
 
@@ -294,13 +300,13 @@ class Polynomial:
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other) -> "Polynomial":
+        if isinstance(other, Polynomial):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ContextError("operands belong to different rings")
+            return other
         if isinstance(other, int):
             return self.ring.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.ring != self.ring:
-            raise ContextError("operands belong to different rings")
-        return other
+        return NotImplemented
 
     def __add__(self, other):
         other = self._check(other)
@@ -326,33 +332,29 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        p = self.ring.p
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            s = (out.get(e, 0) - c) % p
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return Polynomial._raw(self.ring, out)
 
     def __rsub__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.ring.p
-        # Iterate over the smaller support for speed.
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = (out.get(e, 0) + ca * cb) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial._raw(self.ring, out)
+        sums = {}
+        add_product(sums, self._terms, other._terms)
+        return Polynomial._from_sums(self.ring, sums)
 
     __rmul__ = __mul__
 
@@ -372,7 +374,8 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self._terms == other._terms)
 
     def __hash__(self):
         return hash((self.ring, frozenset(self._terms.items())))
@@ -422,6 +425,21 @@ class Polynomial:
 
 
 # -- module-level operations ------------------------------------------------
+
+
+def add_product(sums: dict, a: Mapping, b: Mapping) -> None:
+    """Add the product of the term maps ``a`` and ``b`` into ``sums``.
+
+    Coefficients are left unreduced; ``Polynomial._from_sums`` reduces
+    them once, so a sum of products builds no intermediate polynomial.
+    """
+    if len(a) > len(b):  # the outer loop over the smaller support
+        a, b = b, a
+    get = sums.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            sums[e] = get(e, 0) + ca * cb
 
 
 def frobenius_power(f: Polynomial) -> Polynomial:
@@ -563,33 +581,10 @@ def monomial_basis(ring: PolyRing, degree: int) -> list[tuple]:
 
 # -- text grammar -----------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(\S))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        num, name, caret, star, plus, minus, bad = m.groups()
-        if bad is not None:
-            raise ParseError(f"unexpected character {bad!r} at position {m.start(7)}")
-        if num is not None:
-            tokens.append(("int", int(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        elif caret:
-            tokens.append(("^", None))
-        elif star:
-            tokens.append(("*", None))
-        elif plus:
-            tokens.append(("+", None))
-        elif minus:
-            tokens.append(("-", None))
-        pos = m.end()
-    return tokens
+# A token is an integer, a name or one of ^ * + -; any other visible
+# character is an error, reported at its position before parsing starts.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\S))")
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_^*+\-]")
 
 
 def parse_poly(ring: PolyRing, text: str) -> Polynomial:
@@ -598,61 +593,64 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
     A factor is an integer literal or a variable with an optional ^power.
     Negative coefficients enter through the - join or a leading sign.
     """
-    tokens = _tokenize(text)
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r} "
+                         f"at position {bad.start()}")
+    tokens = _TOKEN_RE.findall(text)  # (digits, name, symbol), one nonempty
     if not tokens:
         raise ParseError("empty polynomial text")
     p = ring.p
-    n = ring.nvars
+    index = ring._index
+    zero = [0] * ring.nvars
+    end = len(tokens)
     terms: dict[tuple, int] = {}
-    i = 0
-
-    def parse_factor(idx, coeff, exps):
-        kind, value = tokens[idx]
-        if kind == "int":
-            return idx + 1, (coeff * value) % p, exps
-        if kind == "name":
-            v = ring.var_index(value) if value in ring._index else None
-            if v is None:
-                raise ParseError(f"unknown variable {value!r}; ring has "
-                                 f"{', '.join(ring.variables)}")
-            power = 1
-            idx += 1
-            if idx < len(tokens) and tokens[idx][0] == "^":
-                idx += 1
-                if idx >= len(tokens) or tokens[idx][0] != "int":
-                    raise ParseError("expected an integer exponent after '^'")
-                power = tokens[idx][1]
-                idx += 1
-            exps = list(exps)
-            exps[v] += power
-            return idx, coeff, tuple(exps)
-        raise ParseError(f"expected a coefficient or variable, found {kind!r}")
-
-    sign = 1
-    if tokens[0][0] in ("+", "-"):
-        sign = -1 if tokens[0][0] == "-" else 1
-        i = 1
+    sign = tokens[0][2]
+    i = 1 if sign in ("+", "-") else 0
     while True:
-        if i >= len(tokens):
+        if i >= end:
             raise ParseError("dangling sign at end of polynomial")
-        coeff, exps = sign % p, (0,) * n
-        i, coeff, exps = parse_factor(i, coeff, exps)
-        while i < len(tokens) and tokens[i][0] == "*":
+        coeff = p - 1 if sign == "-" else 1
+        exps = zero[:]
+        while True:  # one factor per pass
+            num, name, symbol = tokens[i]
             i += 1
-            if i >= len(tokens):
+            if num:
+                coeff = coeff * int(num) % p
+            elif name:
+                v = index.get(name)
+                if v is None:
+                    raise ParseError(f"unknown variable {name!r}; ring has "
+                                     f"{', '.join(ring.variables)}")
+                if i < end and tokens[i][2] == "^":
+                    i += 1
+                    if i >= end or not tokens[i][0]:
+                        raise ParseError(
+                            "expected an integer exponent after '^'")
+                    exps[v] += int(tokens[i][0])
+                    i += 1
+                else:
+                    exps[v] += 1
+            else:
+                raise ParseError("expected a coefficient or variable, "
+                                 f"found {symbol!r}")
+            if i >= end or tokens[i][2] != "*":
+                break
+            i += 1
+            if i >= end:
                 raise ParseError("dangling '*' at end of polynomial")
-            i, coeff, exps = parse_factor(i, coeff, exps)
-        s = (terms.get(exps, 0) + coeff) % p
+        key = tuple(exps)
+        s = (terms.get(key, 0) + coeff) % p
         if s:
-            terms[exps] = s
+            terms[key] = s
         else:
-            terms.pop(exps, None)
-        if i >= len(tokens):
+            terms.pop(key, None)
+        if i >= end:
             break
-        kind = tokens[i][0]
-        if kind not in ("+", "-"):
+        num, name, sign = tokens[i]
+        if sign not in ("+", "-"):
+            kind = "int" if num else "name" if name else sign
             raise ParseError(f"expected '+' or '-' between terms, found {kind!r}")
-        sign = -1 if kind == "-" else 1
         i += 1
     return Polynomial._raw(ring, terms)
 

@@ -641,11 +641,11 @@ def report(results: list[CheckResult], fmt: str = "json") -> str:
 _RERUN = ("C1", "C3", "C4", "C5", "C6", "C11", "C13", "C14")
 
 
-def _parse_witness(ring, wit: dict) -> CombinationWitness:
-    """Inverse of ``_wit_json``."""
+def _parse_witness(ring, wit: dict, generators) -> CombinationWitness:
+    """Inverse of ``_wit_json``, given ``wit["generators"]`` parsed."""
     return CombinationWitness(
         target=parse_poly(ring, wit["target"]),
-        generators=tuple(parse_poly(ring, g) for g in wit["generators"]),
+        generators=tuple(generators),
         cofactors=tuple(parse_poly(ring, c) for c in wit["cofactors"]),
         remainder=parse_poly(ring, wit["remainder"]))
 
@@ -655,7 +655,8 @@ def _proves(ring, wit: dict, target: str, generators: list[str]) -> bool:
     printing is canonical, so the strings are compared before parsing."""
     if wit["target"] != target or wit["generators"] != generators:
         return False
-    parsed = _parse_witness(ring, wit)
+    parsed = _parse_witness(ring, wit,
+                            [parse_poly(ring, g) for g in generators])
     return parsed.is_member and parsed.verify()
 
 
@@ -688,22 +689,26 @@ def _reverify_c7(ctx: SuiteContext, w: dict) -> bool:
 def _reverify_smoothness(ctx: SuiteContext, check_id: str, w: dict) -> bool:
     verdict, names = _SMOOTHNESS[check_id]
     wit = w.get("unit_witness")
-    # strings first: parsing the minors is most of the cost
+    # strings first: parsing is most of the cost
     if (w["verdict"] != verdict or w["codim"] != _ADJUNCTION_CODIM
             or w["locus"] != list(names) or wit is None
-            or wit["generators"] != w["relations"] + w["minors"] + w["locus"]):
+            or wit["generators"] != w["relations"] + w["minors"] + w["locus"]
+            or len(w["relations"]) < _ADJUNCTION_CODIM):
         return False
-    unit = _parse_witness(ctx.fx.presentation_ring, wit)
-    nrel = len(w["relations"])
-    nmin = nrel + len(w["minors"])
+    ring = ctx.fx.presentation_ring
+    relations = [parse_poly(ring, g) for g in w["relations"]]
+    # The minors are recomputed and compared as canonical text, as
+    # ``_proves`` compares targets and generators: never parsed.
+    minors = jacobian_minors(relations, _ADJUNCTION_CODIM)
+    if [str(m) for m in minors] != w["minors"]:
+        return False
+    locus = [ring.gen(name) for name in names]
     cert = SmoothnessCertificate(
-        verdict=verdict, generators=unit.generators[:nrel],
-        minors=unit.generators[nrel:nmin], locus=unit.generators[nmin:],
-        codim=w["codim"], unit_witness=unit, residual=None,
-        pairs_processed=w["pairs_processed"])
-    if (len(cert.generators) < _ADJUNCTION_CODIM
-            or tuple(jacobian_minors(cert.generators, _ADJUNCTION_CODIM))
-            != cert.minors or not cert.verify()):
+        verdict=verdict, generators=tuple(relations), minors=tuple(minors),
+        locus=tuple(locus), codim=w["codim"],
+        unit_witness=_parse_witness(ring, wit, relations + minors + locus),
+        residual=None, pairs_processed=w["pairs_processed"])
+    if not cert.verify():
         return False
     if check_id == "C10":
         images = ctx.adjunction_images("x1")
@@ -734,9 +739,12 @@ def verify_witness(result: CheckResult,
     target; C7 needs one per relation on each side.  C8-C10 must carry the
     expected verdict, codim and locus, their minors must be the Jacobian
     minors of their saved relations, and C10's relations must vanish
-    under the chart-x1 images.  C12 depends on the seed, so its element is
-    checked instead: killed by the field, with the recorded nonzero value
-    at the fixed point.  The eliminated kernels of C7 and C9 are read from
+    under the chart-x1 images.  Targets, generators and minors are
+    compared as canonical text, never parsed: the minors are recomputed
+    from the parsed relations and printed, so a minor saved as an equal
+    polynomial in other text reads as ``False``.  C12 depends on the
+    seed, so its element is checked instead: killed by the field, with
+    the recorded nonzero value at the fixed point.  The eliminated kernels of C7 and C9 are read from
     the witness, not recomputed.  A witness of the wrong shape (a missing
     key, a list where a mapping belongs) reads as ``False``.
     """

@@ -14,11 +14,13 @@ import random
 from godeaux import _kernel_pure, backend
 from godeaux.backend import available_backends
 from godeaux.derivations import Derivation, apply, chart_transform, graded_kernel
-from godeaux.errors import BudgetExceeded
+from godeaux.errors import BudgetExceeded, ContextError
 from godeaux.fixtures import load_fixtures
-from godeaux.groebner import buchberger, reduce, spolynomial
+from godeaux.groebner import (CombinationWitness, buchberger, reduce,
+                              spolynomial)
 from godeaux.rings import (DEGREVLEX, LEX, MonomialOrder, PolyRing,
-                           block_order, frobenius_power)
+                           Polynomial, block_order, frobenius_power,
+                           parse_poly)
 
 CASE_TARGET = 1000
 
@@ -391,6 +393,156 @@ def boundary_mirror():
     return cases, failures[:5]
 
 
+# -- reference loops for the ring fast paths -----------------------------------
+#
+# The term-by-term loops that ``*``, ``-``, ``derivations.apply`` and
+# ``CombinationWitness.verify`` used before they summed into one dict and
+# reduced mod p once.  They are kept here only as the oracle.
+
+
+def _ref_mul(f, g):
+    """f * g, reducing and pruning after every product."""
+    if f.ring != g.ring:
+        raise ContextError("operands belong to different rings")
+    p = f.ring.p
+    a, b = f._terms, g._terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = (out.get(e, 0) + ca * cb) % p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return Polynomial._raw(f.ring, out)
+
+
+def _ref_add(f, g):
+    if f.ring != g.ring:
+        raise ContextError("operands belong to different rings")
+    p = f.ring.p
+    out = dict(f._terms)
+    for e, c in g._terms.items():
+        s = (out.get(e, 0) + c) % p
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return Polynomial._raw(f.ring, out)
+
+
+def _ref_sub(f, g):
+    """f + (-g), through an intermediate negation."""
+    p = g.ring.p
+    return _ref_add(f, Polynomial._raw(g.ring,
+                                       {e: p - c for e, c in g._terms.items()}))
+
+
+def _ref_apply(delta, f):
+    """A derivative, a product and a sum per variable."""
+    if f.ring != delta.ring:
+        raise ContextError("polynomial belongs to a different ring")
+    total = delta.ring.zero()
+    for i, g in enumerate(delta.images):
+        if g.is_zero():
+            continue
+        part = f.derivative(i)
+        if not part.is_zero():
+            total = _ref_add(total, _ref_mul(g, part))
+    return total
+
+
+def _ref_verify(witness):
+    """The running sum, copied once per generator."""
+    acc = witness.remainder
+    for cof, gen in zip(witness.cofactors, witness.generators):
+        acc = _ref_add(acc, _ref_mul(cof, gen))
+    return acc == witness.target
+
+
+def _fastpath_poly(rng, ring):
+    """Zero, one term or up to six, exponents up to 4, any residue."""
+    size = rng.choice((0, 1, rng.randrange(2, 7)))
+    return ring.from_terms({tuple(rng.randrange(5) for _ in range(ring.nvars)):
+                            rng.randrange(1, ring.p) for _ in range(size)})
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc)
+
+
+def ring_fastpath_oracle(n: int = CASE_TARGET):
+    """``*``, ``-``, ``apply``, ``CombinationWitness.verify`` and parsing
+    printed text against the reference loops above: 1-8 variables, p in
+    {2, 5, 2147483629}, all three orders, zero and single-term operands,
+    and operands from another ring, which must raise ``ContextError``."""
+    rng = random.Random(1212)
+    failures = []
+    rings = {}  # PolyRing checks p by trial division: build each once
+
+    def make_ring(nvars, p, order):
+        """Two equal rings that are distinct objects."""
+        key = (nvars, p, order)
+        if key not in rings:
+            names = [f"x{k}" for k in range(nvars)]
+            rings[key] = (PolyRing(names, p, order), PolyRing(names, p, order))
+        return rings[key]
+
+    for i in range(n):
+        nvars = rng.randrange(1, 9)
+        p = (2, 5, 2147483629)[i % 3]
+        kind = ("degrevlex", "lex", "block")[i // 3 % 3]
+        if kind == "block" and nvars < 2:
+            kind = "lex"
+        ring, twin = make_ring(nvars, p, MonomialOrder(
+            kind, rng.randrange(1, nvars) if kind == "block" else None))
+        # same variables, another order and in odd cases another p
+        other = make_ring(nvars, 3 if i % 2 else p,
+                          LEX if kind != "lex" else DEGREVLEX)[0]
+        f = _fastpath_poly(rng, ring)
+        g = _fastpath_poly(rng, twin if i % 2 else ring)
+        h = _fastpath_poly(rng, other)
+        delta = Derivation(ring, [_fastpath_poly(rng, ring)
+                                  for _ in range(nvars)])
+        gens = [_fastpath_poly(rng, ring) for _ in range(rng.randrange(4))]
+        cofs = [_fastpath_poly(rng, ring) for _ in gens]
+        rem = _fastpath_poly(rng, ring)
+        target = rem
+        for c, b in zip(cofs, gens):
+            target = _ref_add(target, _ref_mul(c, b))
+        if rng.random() < 0.5:
+            target = _ref_add(target, _fastpath_poly(rng, ring))
+        wit = CombinationWitness(target, tuple(gens), tuple(cofs), rem)
+        mixed = CombinationWitness(target, tuple(gens) + (h,),
+                                   tuple(cofs) + (f,), rem)
+        pairs = (
+            ("*", f * g, _ref_mul(f, g)),
+            ("-", f - g, _ref_sub(f, g)),
+            ("int -", 3 - f, _ref_sub(ring.constant(3), f)),
+            ("apply", apply(delta, f), _ref_apply(delta, f)),
+            ("verify", wit.verify(), _ref_verify(wit)),
+            ("parse", parse_poly(ring, str(f)), f),
+            ("mixed ==", f == h, False),
+            ("mixed *", _outcome(lambda: f * h), ContextError),
+            ("mixed -", _outcome(lambda: f - h), ContextError),
+            ("mixed apply", _outcome(apply, delta, h), ContextError),
+            ("mixed verify", _outcome(mixed.verify), ContextError),
+            ("mixed ref verify", _outcome(_ref_verify, mixed), ContextError),
+        )
+        for label, got, want in pairs:
+            if got != want or type(got) is not type(want):
+                failures.append(f"case {i}: {label} differs from the "
+                                f"reference ({got!r} != {want!r})")
+    return n, failures[:5]
+
+
 SUITES = {
     "ring_axioms": ring_axioms,
     "leibniz": leibniz,
@@ -403,12 +555,13 @@ SUITES = {
     "tracked_mirror": tracked_mirror,
     "packed_encoding": packed_encoding,
     "boundary_mirror": boundary_mirror,
+    "ring_fastpath_oracle": ring_fastpath_oracle,
 }
 
 #: Suites the acceptance gate requires to reach CASE_TARGET cases.
 REQUIRED_SUITES = ("ring_axioms", "leibniz", "frobenius_oracle",
                    "reduce_idempotence", "spair_vanishing", "kernel_closure",
-                   "chart_compatibility")
+                   "chart_compatibility", "ring_fastpath_oracle")
 
 
 def run_all_property_suites() -> dict[str, tuple[int, list[str]]]:

@@ -146,6 +146,16 @@ class TestBackendRouting:
             assert gb.polynomials == buchberger(
                 gens, backend_name="pure").polynomials
 
+    def test_coprime_lcm_past_max_field_stays_compiled(self, monkeypatch):
+        # Once y^2 - 1 is installed, lcm(x^65535, y^2) is past MAX_FIELD,
+        # but the pair is coprime: it is never queued and divides nothing.
+        monkeypatch.setenv("GODEAUX_BACKEND", "auto")
+        x, y = R2.gens()
+        gb = buchberger([x ** 65535 - y, x ** 2 - 1])
+        assert [str(g) for g in gb] == ["y^2 + 4", "x + 4*y"]
+        assert gb.pairs_processed == 2
+        assert gb.backend == "compiled"
+
     def test_mid_run_overflow_reruns_on_pure(self, monkeypatch):
         # Inputs of degree 256 whose basis needs z^65536.
         monkeypatch.setenv("GODEAUX_BACKEND", "auto")
@@ -268,6 +278,11 @@ class TestPureKernelPastCompiledLimits:
         widths = _record_widths(monkeypatch)
         monkeypatch.setattr(_kernel_pure, "_first_width", int.bit_length)
         assert _pure_kernel_outcome(gens) == expected
+        if expected[1] == 0:
+            # x^3, y^3, z^3 lead under degrevlex: every pair is coprime, so
+            # none is queued, and an lcm past the width forces no rerun
+            assert widths[:2] == [2, 2]
+            return
         # the plain and then the tracked Buchberger call each reran
         tracked_start = widths.index(2, 1)
         assert widths[:2] == [2, 4] and widths[tracked_start + 1] == 4

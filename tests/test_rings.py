@@ -41,6 +41,11 @@ class TestCanonicalization:
         f = R.from_terms({(1, 0, 0): -1})
         assert f.coefficient((1, 0, 0)) == 4
 
+    @pytest.mark.parametrize("exps", [("a", 0, 0), (1.5, 0, 0), (-1, 0, 0)])
+    def test_bad_exponent_rejected(self, exps):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Polynomial(R, {exps: 1})
+
     def test_zero_polynomial(self):
         assert R.zero().is_zero()
         assert not R.zero()
@@ -171,6 +176,24 @@ class TestSerialization:
         for bad in ("x +", "w", "x^", "x**2", "2x"):
             with pytest.raises(ParseError):
                 parse_poly(R, bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("x ! y", "unexpected character '!' at position 2"),
+        ("x²", "unexpected character '²' at position 1"),
+        ("x + ", "dangling sign at end of polynomial"),
+        ("x * ", "dangling '*' at end of polynomial"),
+        ("x^", "expected an integer exponent after '^'"),
+        ("x^y", "expected an integer exponent after '^'"),
+        ("z", "unknown variable 'z'; ring has x, y"),
+        ("", "empty polynomial text"),
+        ("x y", "expected '+' or '-' between terms, found 'name'"),
+        ("x 2", "expected '+' or '-' between terms, found 'int'"),
+        ("* x", "expected a coefficient or variable, found '*'"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_poly(PolyRing(("x", "y"), 5), text)
+        assert str(info.value) == message
 
 
 class TestStructureMaps:

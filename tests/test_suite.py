@@ -61,6 +61,15 @@ def _forged_minor(w):
                              remainder="0")
 
 
+def _non_canonical_minor(w):
+    # the same polynomial, its terms printed smallest first
+    terms = w["minors"][0].split(" + ")
+    assert len(terms) > 1
+    w["minors"][0] = " + ".join(reversed(terms))
+    w["unit_witness"]["generators"] = (w["relations"] + w["minors"]
+                                       + w["locus"])
+
+
 TAMPERINGS = (
     ("C8", _unit_witness_from_remainder),
     ("C9", _unit_witness_from_remainder),
@@ -72,6 +81,8 @@ TAMPERINGS = (
     ("C8", _codim_one),
     ("C9", _forged_minor),
     ("C10", _forged_minor),
+    ("C9", _non_canonical_minor),
+    ("C10", _non_canonical_minor),
 )
 
 
