@@ -17,8 +17,10 @@
    ``m - a`` is set: a field of ``m`` below that of ``a`` borrows into
    its own guard.  An input, a product, or the lcm of a pair that is not
    coprime, with a field above MAX_FIELD raises OverflowError and never
-   wraps; ``groebner`` then reruns the call on the pure kernel, which
-   widens its fields as needed.
+   wraps, as does a ring of more than MAX_VARS variables or a modulus of
+   at least MAX_COEFF_MODULUS; ``groebner`` then reruns the call on the
+   pure kernel, which takes any ring and widens its fields as needed.
+   The kernel knows its limits only here: callers do not check them.
 
    Polynomials are arrays of terms, largest monomial first; a term is
    ``nw + 1`` words, the monomial and then the coefficient.
@@ -28,7 +30,12 @@
    CASC 2007): the polynomial being reduced is a heap of streams, each a
    polynomial times a monomial and a scalar.  Popping the largest
    monomial sums every stream that heads with it; a reduction step adds
-   one stream, the reducer's tail times the quotient term.  */
+   one stream, the reducer's tail times the quotient term.
+
+   Signals.  Both loops poll for pending signals, the Buchberger loop once
+   per S-pair and ``nf`` every SIGNAL_POLL popped monomials, so Ctrl-C or
+   an alarm handler can stop a long call; its exception leaves through
+   the usual cleanup.  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -45,6 +52,7 @@ typedef Py_ssize_t ssize;
 #define MAX_COEFF_MODULUS (1LL << 31)
 #define MAXW MAX_VARS                 /* words: two fields per variable */
 #define GUARD 0xFFFF0000FFFF0000ULL
+#define SIGNAL_POLL 4096              /* a power of two */
 
 static PyObject *BudgetExceeded;
 
@@ -87,10 +95,11 @@ static int ring_init(Ring *r, ssize n, PyObject *pobj, PyObject *kind,
     int ovf;
     long long p = PyLong_AsLongLongAndOverflow(pobj, &ovf);
     if (p == -1 && PyErr_Occurred()) return -1;
-    if (n < 1 || n > MAX_VARS)
-        return fail(PyExc_ValueError, "compiled kernel takes 1..16 variables");
-    if (ovf || p < 2 || p >= MAX_COEFF_MODULUS)
-        return fail(PyExc_ValueError, "compiled kernel takes 2 <= p < 2^31");
+    if (n < 1 || (ovf <= 0 && p < 2))
+        return fail(PyExc_ValueError, "a ring needs n >= 1 and p >= 2");
+    if (n > MAX_VARS || ovf || p >= MAX_COEFF_MODULUS)
+        return fail(PyExc_OverflowError,
+                    "compiled kernel takes at most 16 variables and p < 2^31");
     *r = (Ring){.n = (int)n, .p = (u64)p, .nblocks = 1, .bstart = {0, (int)n}};
     if (PyUnicode_CompareWithASCIIString(kind, "lex") == 0) {
         r->lex = 1;
@@ -359,10 +368,12 @@ static int nf(Merge *M, const Set *R, ssize skip, Poly *out)
 {
     const Ring *r = M->r;
     int nw = r->nw, got;
-    u64 m[MAXW], q[MAXW], c;
+    u64 m[MAXW], q[MAXW], c, pops = 0;
     while ((got = merge_next(M, m, &c)) > 0) {
         u64 mask = divmask(r, m);
         ssize k = 0;
+        if (++pops % SIGNAL_POLL == 0 && PyErr_CheckSignals() < 0)
+            return -1;
         while (k < R->n && (k == skip || (R->v[k].mask & ~mask)
                             || !mdivides(R->v[k].g.t, m, nw)))
             k++;
@@ -710,6 +721,7 @@ static PyObject *py_buchberger(PyObject *self, PyObject *args, PyObject *kw)
         u64 s[MAXW];
         Pair q;
         if (id < 0) break;
+        if (PyErr_CheckSignals() < 0) goto done;
         if (budget != Py_None && pairs >= limit) {
             PyObject *exc = PyObject_CallFunction(BudgetExceeded, "nn",
                                                   pairs, B.n);

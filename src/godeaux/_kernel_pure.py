@@ -7,13 +7,14 @@ interchangeable and byte-for-byte comparable.  Reduction and Buchberger
 are each written once; recording quotients and cofactors over the inputs
 is an option of that one path (``normal_form_tracked``,
 ``buchberger_tracked``), offered only here.  The compiled backend
-accelerates the untracked calls within fixed 16-bit fields; where a
-monomial outgrows them it raises OverflowError and ``groebner`` reruns
-the call here, where the width grows as needed (below).
+accelerates the untracked calls within fixed limits (variables, modulus,
+16-bit fields); past them it raises OverflowError and ``groebner`` reruns
+the call here, where any ring is taken and the width grows as needed
+(below).
 
-Boundary format: a polynomial is a list of ``(exponent_tuple, coeff)``
-pairs with distinct exponents and coefficients in [1, p).  Outputs are
-sorted largest-monomial-first.
+Boundary format: a polynomial is an iterable of ``(exponent_tuple,
+coeff)`` pairs in any order, with distinct exponents and coefficients in
+[1, p).  Outputs are lists sorted largest-monomial-first.
 
 Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007): inside a call a

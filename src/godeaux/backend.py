@@ -11,12 +11,11 @@ Two interchangeable kernels ship with the package:
 The environment variable ``GODEAUX_BACKEND`` picks the default:
 ``pure`` forces the reference kernel, ``compiled`` demands the
 extension (raising if it is missing), and ``auto`` (or unset) prefers
-the extension when importable.  ``for_ring`` still sends a ring outside
-the extension's static limits to the pure kernel: more than
-``MAX_VARS`` variables, or a modulus of at least ``MAX_COEFF_MODULUS``.
-Degrees are not checked up front: the extension raises OverflowError
-when a monomial field would exceed ``MAX_FIELD``, at the inputs or
-mid-run, and ``groebner`` reruns that call on the pure kernel.
+the extension when importable.  Only the extension knows its limits:
+it raises OverflowError for more than ``MAX_VARS`` variables, a modulus
+of at least ``MAX_COEFF_MODULUS``, or a monomial field past
+``MAX_FIELD`` (at the inputs or mid-run), and ``groebner`` reruns that
+call on the pure kernel.
 """
 
 from __future__ import annotations
@@ -66,12 +65,3 @@ def get(name: str | None = None):
         return _compiled
     raise ValueError(f"unknown backend {name!r}")
 
-
-def for_ring(nvars: int, p: int, name: str | None = None):
-    """The kernel for a call in a ring, honouring the extension's limits."""
-    mod = get(name)
-    if mod is _kernel_pure:
-        return mod
-    if nvars > mod.MAX_VARS or p >= mod.MAX_COEFF_MODULUS:
-        return _kernel_pure
-    return mod

@@ -32,71 +32,83 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESULT_FIELDS = {"id", "description", "status", "witness", "paper_anchor"}
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--p", type=int, default=None,
-                        help="prime characteristic (default 5)")
-    shared.add_argument("--order", choices=("degrevlex", "lex"), default=None,
-                        help="monomial order (default degrevlex)")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="randomness seed for the suite (default 1)")
-    shared.add_argument("--budget", type=int, default=None,
-                        help=f"pair budget for basis computations "
-                             f"(default {DEFAULT_BUDGET})")
-    shared.add_argument("--format", dest="fmt", choices=("text", "json"),
-                        default=None, help="output format (default text)")
-    shared.add_argument("--only", default=None, metavar="CHECK-ID",
-                        help="run a single verification check, e.g. C3")
-    return shared
+_FLAGS = {  # settings key -> (flag, add_argument options)
+    "p": ("--p", dict(type=int, default=5,
+                      help="prime characteristic (default 5)")),
+    "order": ("--order", dict(choices=("degrevlex", "lex"),
+                              default="degrevlex",
+                              help="monomial order (default degrevlex)")),
+    "seed": ("--seed", dict(type=int, default=DEFAULT_SEED,
+                            help="randomness seed for the suite (default 1)")),
+    "budget": ("--budget", dict(type=int, default=DEFAULT_BUDGET,
+                                help=f"pair budget for basis computations "
+                                     f"(default {DEFAULT_BUDGET})")),
+    "fmt": ("--format", dict(dest="fmt", choices=("text", "json"),
+                             default="text",
+                             help="output format (default text)")),
+    "only": ("--only", dict(default=None, metavar="CHECK-ID",
+                            help="run a single verification check, e.g. C3")),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Give a subcommand the shared flags it reads, and only those: a flag
+    parsed at two levels would let the lower level's default win."""
+    for name in names:
+        flag, options = _FLAGS[name]
+        parser.add_argument(flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = _shared_flags()
     parser = argparse.ArgumentParser(
         prog="godeaux",
-        description="Exact characteristic-p verification engine",
-        parents=[shared])
+        description="Exact characteristic-p verification engine")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub.add_parser("verify", parents=[shared],
-                   help="run the 14-check verification suite")
+    verify = sub.add_parser("verify",
+                            help="run the 14-check verification suite")
+    _add_flags(verify, "p", "seed", "budget", "fmt", "only")
 
     rev = sub.add_parser("reverify",
                          help="re-check the witnesses of a saved JSON report "
                               "without a basis search")
     rev.add_argument("report", help="output of `godeaux verify --format json`")
 
-    kernel = sub.add_parser("kernel", parents=[shared],
-                            help="graded kernel of a derivation")
+    kernel = sub.add_parser("kernel", help="graded kernel of a derivation")
+    _add_flags(kernel, "p", "order", "fmt")
     kernel.add_argument("file", help="derivation file: `var -> poly` lines, "
                                      "optional `p = ...` / `vars = ...` header")
     kernel.add_argument("--degree", type=int, required=True)
 
-    groebner = sub.add_parser("groebner", parents=[shared],
-                              help="reduced basis of an ideal")
+    groebner = sub.add_parser("groebner", help="reduced basis of an ideal")
+    _add_flags(groebner, "p", "order", "budget", "fmt")
     groebner.add_argument("file", help="ideal file: one polynomial per line, "
                                        "optional `p = ...` / `vars = ...` "
                                        "header")
 
-    inv = sub.add_parser("invariants", parents=[shared],
+    inv = sub.add_parser("invariants",
                          help="numerical invariant calculations")
     kinds = inv.add_subparsers(dest="invariant_kind", required=True)
 
-    hyper = kinds.add_parser("hypersurface", parents=[shared])
+    hyper = kinds.add_parser("hypersurface")
+    _add_flags(hyper, "fmt")
     hyper.add_argument("--d", type=int, required=True,
                        help="hypersurface degree")
 
-    feas = kinds.add_parser("feasible", parents=[shared])
+    feas = kinds.add_parser("feasible")
+    _add_flags(feas, "fmt")
     feas.add_argument("--kind", choices=("singular", "supersingular"),
                       required=True)
     feas.add_argument("--threshold", type=int, default=-4)
     feas.add_argument("--cover-bound", dest="cover_bound", type=int, default=6)
 
-    torsor = kinds.add_parser("torsor", parents=[shared])
+    torsor = kinds.add_parser("torsor")
+    _add_flags(torsor, "p", "fmt")
     torsor.add_argument("--chi", type=int, required=True)
     torsor.add_argument("--k2", type=int, required=True)
 
-    betti = kinds.add_parser("betti", parents=[shared])
+    betti = kinds.add_parser("betti")
+    _add_flags(betti, "fmt")
     betti.add_argument("--chi", type=int, required=True)
     betti.add_argument("--k2", type=int, required=True)
     betti.add_argument("--b1", type=int, default=0)
@@ -109,20 +121,15 @@ class _Usage(Exception):
 
 
 def _settings(args) -> dict:
-    p = 5 if args.p is None else args.p
-    if not is_prime(p):
-        raise _Usage(f"--p must be prime, got {p}")
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    if budget < 1:
-        raise _Usage(f"--budget must be at least 1, got {budget}")
-    return {
-        "p": p,
-        "order": args.order or "degrevlex",
-        "seed": DEFAULT_SEED if args.seed is None else args.seed,
-        "budget": budget,
-        "fmt": args.fmt or "text",
-        "only": args.only,
-    }
+    """Every shared flag's value; one a subcommand lacks reads as its
+    default."""
+    settings = {name: getattr(args, name, options["default"])
+                for name, (_, options) in _FLAGS.items()}
+    if not is_prime(settings["p"]):
+        raise _Usage(f"--p must be prime, got {settings['p']}")
+    if settings["budget"] < 1:
+        raise _Usage(f"--budget must be at least 1, got {settings['budget']}")
+    return settings
 
 
 def _order_for(name: str):

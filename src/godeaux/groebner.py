@@ -3,10 +3,11 @@
 Reduction, Buchberger with a processed-pair budget, membership with
 re-verifiable cofactor witnesses, radical membership, elimination,
 ring-map kernels via graph ideals, and Jacobian smoothness certificates.
-The heavy loops run in the selected kernel backend (compiled when
-available); a call that overflows the compiled kernel's monomial fields
-reruns on the pure kernel, and cofactor tracking always runs on the pure
-kernel, whose results are byte-identical by construction.
+The heavy loops run in a kernel backend, and ``_run_kernel`` is the one
+place that calls one: on the selected backend (compiled when available),
+or on the pure kernel for cofactor tracking.  A call past the compiled
+kernel's limits raises OverflowError there and reruns on the pure kernel,
+whose results are byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -39,12 +40,9 @@ def _common_ring(polys: Sequence[Polynomial]) -> PolyRing:
             raise ContextError("polynomials belong to different rings")
     return ring
 
-def _order_args(ring: PolyRing):
-    return ring.order.kind, ring.order.split
-
 
 def _to_termlists(polys: Iterable[Polynomial]) -> list:
-    return [f.items_sorted() for f in polys]
+    return [f._terms.items() for f in polys]
 
 
 def _from_terms(ring: PolyRing, terms) -> Polynomial:
@@ -53,19 +51,19 @@ def _from_terms(ring: PolyRing, terms) -> Polynomial:
 
 def _run_kernel(ring: PolyRing, backend_name: str | None, fn: str, *args,
                 **kwargs):
-    """``fn(*args, nvars, p, kind, split=..., **kwargs)`` on the ring's kernel.
+    """``fn(*args, nvars, p, kind, split=..., **kwargs)`` on the named kernel.
 
     Returns ``(result, backend name)``.  The compiled kernel raises
-    OverflowError when a monomial outgrows its fields, at the inputs or
-    mid-run; the call then reruns on the pure kernel.
+    OverflowError for a ring past its static limits, or when a monomial
+    outgrows its fields, at the inputs or mid-run; the call then reruns
+    on the pure kernel.  Term lists go in as pairs in any order.
     """
-    kind, split = _order_args(ring)
-
     def call(kern):
-        return (getattr(kern, fn)(*args, ring.nvars, ring.p, kind,
-                                  split=split, **kwargs), kern.BACKEND_NAME)
+        return (getattr(kern, fn)(*args, ring.nvars, ring.p, ring.order.kind,
+                                  split=ring.order.split, **kwargs),
+                kern.BACKEND_NAME)
 
-    kern = _backend.for_ring(ring.nvars, ring.p, backend_name)
+    kern = _backend.get(backend_name)
     try:
         return call(kern)
     except OverflowError:
@@ -201,7 +199,7 @@ def reduce(f: Polynomial, reducers, backend_name: str | None = None) -> Polynomi
     live = [g for g in polys if not g.is_zero()]
     if f.is_zero() or not live:
         return f
-    out, _ = _run_kernel(ring, backend_name, "normal_form", f.items_sorted(),
+    out, _ = _run_kernel(ring, backend_name, "normal_form", f._terms.items(),
                          _to_termlists(live))
     return _from_terms(ring, out)
 
@@ -211,10 +209,8 @@ def reduce_tracked(f: Polynomial, reducers) -> tuple[Polynomial, tuple[Polynomia
     f = sum(quotient_i * reducer_i) + remainder)."""
     polys = _reducer_polys(reducers)
     ring = _common_ring([f] + polys) if polys else f.ring
-    kern = _backend.get("pure")
-    kind, split = _order_args(ring)
-    r, quots = kern.normal_form_tracked(f.items_sorted(), _to_termlists(polys),
-                                        ring.nvars, ring.p, kind, split=split)
+    (r, quots), _ = _run_kernel(ring, "pure", "normal_form_tracked",
+                                f._terms.items(), _to_termlists(polys))
     return (_from_terms(ring, r),
             tuple(_from_terms(ring, q) for q in quots))
 
@@ -235,17 +231,21 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
                          backend=name)
 
 
-def _tracked_basis(gens: Sequence[Polynomial], budget: int | None):
-    """Pure-kernel Buchberger with cofactors over the original generators."""
+def _buchberger_tracked(gens: Sequence[Polynomial], budget: int | None,
+                        stop_on_unit: bool):
+    """Pure-kernel Buchberger with cofactors over the original generators.
+
+    Returns ``(basis, reps, pairs, unit)`` as in
+    ``_kernel_pure.buchberger_tracked``, with polynomials for term lists.
+    """
     ring = _common_ring(list(gens))
-    kern = _backend.get("pure")
-    kind, split = _order_args(ring)
-    basis, reps, pairs, _ = kern.buchberger_tracked(
-        _to_termlists(gens), ring.nvars, ring.p, kind, split=split,
-        budget=budget)
-    basis_p = [_from_terms(ring, t) for t in basis]
-    reps_p = [[_from_terms(ring, r) for r in rep] for rep in reps]
-    return basis_p, reps_p, pairs
+    (basis, reps, pairs, unit), _ = _run_kernel(
+        ring, "pure", "buchberger_tracked", _to_termlists(gens),
+        budget=budget, stop_on_unit=stop_on_unit)
+    if unit is not None:
+        return None, None, pairs, [_from_terms(ring, u) for u in unit]
+    return ([_from_terms(ring, t) for t in basis],
+            [[_from_terms(ring, r) for r in rep] for rep in reps], pairs, None)
 
 
 def ideal_member(f: Polynomial, gens, budget: int | None = DEFAULT_BUDGET,
@@ -268,18 +268,15 @@ def ideal_member(f: Polynomial, gens, budget: int | None = DEFAULT_BUDGET,
     if not witness:
         gb = buchberger(gens, budget=budget, backend_name=backend_name)
         return reduce(f, gb, backend_name=backend_name).is_zero()
-    basis_p, reps_p, _ = _tracked_basis(gens, budget)
-    r, quots = reduce_tracked(f, basis_p)
-    ring = f.ring
-    cofactors = []
-    for k in range(len(gens)):
-        acc = ring.zero()
-        for j, q in enumerate(quots):
-            if not q.is_zero() and not reps_p[j][k].is_zero():
-                acc = acc + q * reps_p[j][k]
-        cofactors.append(acc)
+    basis, reps, _, _ = _buchberger_tracked(gens, budget, False)
+    r, quots = reduce_tracked(f, basis)
+    sums = [{} for _ in gens]  # cofactor k = sum_j quots[j] * reps[j][k]
+    for q, rep in zip(quots, reps):
+        for s, g in zip(sums, rep):
+            add_product(s, q._terms, g._terms)
+    cofactors = tuple(Polynomial._from_sums(f.ring, s) for s in sums)
     wit = CombinationWitness(target=f, generators=tuple(gens),
-                             cofactors=tuple(cofactors), remainder=r)
+                             cofactors=cofactors, remainder=r)
     return r.is_zero(), wit
 
 
@@ -502,17 +499,12 @@ def jacobian_minors(gens: Sequence[Polynomial], codim: int) -> list[Polynomial]:
 def _unit_witness(system: Sequence[Polynomial],
                   budget: int | None) -> tuple[CombinationWitness | None, int]:
     """Cofactors expressing 1 over ``system`` (pure kernel, early stop)."""
-    ring = _common_ring(list(system))
-    kern = _backend.get("pure")
-    kind, split = _order_args(ring)
-    _, _, pairs, unit = kern.buchberger_tracked(
-        _to_termlists(system), ring.nvars, ring.p, kind, split=split,
-        budget=budget, stop_on_unit=True)
+    _, _, pairs, unit = _buchberger_tracked(system, budget, True)
     if unit is None:
         return None, pairs
-    cofactors = tuple(_from_terms(ring, u) for u in unit)
+    ring = system[0].ring
     wit = CombinationWitness(target=ring.one(), generators=tuple(system),
-                             cofactors=cofactors, remainder=ring.zero())
+                             cofactors=tuple(unit), remainder=ring.zero())
     return wit, pairs
 
 
@@ -534,34 +526,22 @@ def jacobian_smoothness(gens: Sequence[Polynomial], codim: int,
         if f.ring != ring:
             raise ContextError("locus generators must live in the same ring")
     minors = tuple(jacobian_minors(gens, codim))
-    pairs_total = 0
-
-    stage1 = list(gens) + list(minors)
-    gb1 = buchberger(stage1, budget=budget, backend_name=backend_name)
-    pairs_total += gb1.pairs_processed
-    if gb1.is_unit_ideal():
-        wit, pairs = _unit_witness(stage1, budget)
-        pairs_total += pairs
-        return SmoothnessCertificate(verdict=SMOOTH, generators=gens,
-                                     minors=minors, locus=locus, codim=codim,
-                                     unit_witness=wit, residual=None,
-                                     pairs_processed=pairs_total)
+    base = list(gens) + list(minors)
+    stages = [(SMOOTH, base)]
     if locus:
-        stage2 = stage1 + list(locus)
-        gb2 = buchberger(stage2, budget=budget, backend_name=backend_name)
-        pairs_total += gb2.pairs_processed
-        if gb2.is_unit_ideal():
-            wit, pairs = _unit_witness(stage2, budget)
-            pairs_total += pairs
-            return SmoothnessCertificate(verdict=SMOOTH_ON_LOCUS,
-                                         generators=gens, minors=minors,
-                                         locus=locus, codim=codim,
-                                         unit_witness=wit, residual=None,
-                                         pairs_processed=pairs_total)
-        residual = gb2.polynomials
-    else:
-        residual = gb1.polynomials
+        stages.append((SMOOTH_ON_LOCUS, base + list(locus)))
+    pairs_total = 0
+    for verdict, system in stages:
+        gb = buchberger(system, budget=budget, backend_name=backend_name)
+        pairs_total += gb.pairs_processed
+        if gb.is_unit_ideal():
+            wit, pairs = _unit_witness(system, budget)
+            return SmoothnessCertificate(verdict=verdict, generators=gens,
+                                         minors=minors, locus=locus,
+                                         codim=codim, unit_witness=wit,
+                                         residual=None,
+                                         pairs_processed=pairs_total + pairs)
     return SmoothnessCertificate(verdict=INCONCLUSIVE, generators=gens,
                                  minors=minors, locus=locus, codim=codim,
-                                 unit_witness=None, residual=residual,
+                                 unit_witness=None, residual=gb.polynomials,
                                  pairs_processed=pairs_total)

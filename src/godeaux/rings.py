@@ -10,6 +10,7 @@ mechanism.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +19,7 @@ from .errors import ContextError, DivisibilityError, GradingError, ParseError
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
+@lru_cache(maxsize=256)  # rings are built per call; test each p once
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -403,19 +405,11 @@ class Polynomial:
         """Formal partial derivative; in characteristic p, d(x^p)/dx = 0."""
         i = self.ring.var_index(var)
         p = self.ring.p
-        out = {}
-        for exps, c in self._terms.items():
-            e = exps[i]
-            cc = (c * e) % p
-            if e == 0 or cc == 0:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1:]
-            s = (out.get(new, 0) + cc) % p
-            if s:
-                out[new] = s
-            else:
-                out.pop(new, None)
-        return Polynomial._raw(self.ring, out)
+        # Lowering one exponent is injective, so no two terms meet; with c
+        # a unit, c*e vanishes mod p exactly when e does.
+        return Polynomial._raw(self.ring, {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i] % p
+            for exps, c in self._terms.items() if exps[i] % p})
 
     def __str__(self):
         return format_poly(self)
@@ -471,16 +465,9 @@ def dehomogenize(f: Polynomial, chart, names: Sequence[str] | None = None,
     if order is None:
         order = ring.order if ring.order.kind != "block" else DEGREVLEX
     target = PolyRing(names, ring.p, order)
-    out = {}
-    p = ring.p
-    for exps, c in f._terms.items():
-        new = exps[:i] + exps[i + 1:]
-        s = (out.get(new, 0) + c) % p
-        if s:
-            out[new] = s
-        else:
-            out.pop(new, None)
-    return Polynomial._raw(target, out)
+    # Distinct terms of one total degree stay distinct without exps[i].
+    return Polynomial._raw(target, {exps[:i] + exps[i + 1:]: c
+                                    for exps, c in f._terms.items()})
 
 
 def homogenize(f: Polynomial, degree: int, target_ring: PolyRing,

@@ -19,8 +19,8 @@ from godeaux.fixtures import load_fixtures
 from godeaux.groebner import (CombinationWitness, buchberger, reduce,
                               spolynomial)
 from godeaux.rings import (DEGREVLEX, LEX, MonomialOrder, PolyRing,
-                           Polynomial, block_order, frobenius_power,
-                           parse_poly)
+                           Polynomial, block_order, dehomogenize,
+                           frobenius_power, parse_poly)
 
 CASE_TARGET = 1000
 
@@ -180,11 +180,56 @@ def chart_compatibility(n: int = CASE_TARGET):
     return n, failures[:5]
 
 
+def _kernel_outcome(fn, *args, **kwargs):
+    """``repr`` of a kernel call's result, of its budget counts, or of the
+    exception it raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except BudgetExceeded as exc:
+        return repr(("budget", exc.pairs_processed, exc.basis_size))
+    except Exception as exc:  # compared, not swallowed
+        return repr(exc)
+
+
+def _term_order_failures(kern, gens, f, kind, shuffler):
+    """Labels of ``kern``'s calls whose output changes when each input
+    term list is shuffled instead of sorted largest-monomial-first."""
+    ring = gens[0].ring
+    split = 1 if kind == "block" else None
+
+    def term_lists(arrange):
+        lists = [list(g.terms().items()) for g in [f] + gens]
+        for t in lists:
+            arrange(t)
+        return lists
+
+    inputs = (term_lists(lambda t: t.sort(key=lambda term: ring.sort_key(
+        term[0]), reverse=True)), term_lists(shuffler.shuffle))
+    calls = [("buchberger", dict(budget=2000)), ("normal_form", {})]
+    if kern is _kernel_pure:
+        calls += [("buchberger_tracked", dict(budget=2000)),
+                  ("normal_form_tracked", {})]
+    failures = []
+    for name, kwargs in calls:
+        outs = set()
+        for f_terms, *gens_terms in inputs:
+            args = (gens_terms,) if name.startswith("buchberger") else \
+                (f_terms, gens_terms)
+            outs.add(_kernel_outcome(getattr(kern, name), *args, ring.nvars,
+                                     ring.p, kind, split=split, **kwargs))
+        if len(outs) != 1:
+            failures.append(f"{kern.BACKEND_NAME} {name} {kind}")
+    return failures
+
+
 def cross_backend_mirror(n: int = 150):
-    """Identical bases, normal forms, and budget behaviour per backend."""
+    """Identical bases, normal forms, and budget behaviour per backend,
+    and on each kernel the same output for sorted and shuffled input term
+    lists, in all three order kinds."""
     if "compiled" not in available_backends():
         return 0, ["compiled backend unavailable"]
     rng = random.Random(808)
+    shuffler = random.Random(8080)  # apart, so the cases stay as they were
     failures = []
     cases = 0
     lex_ring = PolyRing(("x", "y", "z"), 5, LEX)
@@ -198,14 +243,13 @@ def cross_backend_mirror(n: int = 150):
                              allow_zero=False)
                 for _ in range(rng.randrange(2, 4))]
         outcomes = {}
-        for backend in ("pure", "compiled"):
+        for name in ("pure", "compiled"):
             try:
-                gb = buchberger(gens, budget=2000, backend_name=backend)
-                outcomes[backend] = ("basis", gb.polynomials,
-                                     gb.pairs_processed)
+                gb = buchberger(gens, budget=2000, backend_name=name)
+                outcomes[name] = ("basis", gb.polynomials, gb.pairs_processed)
             except BudgetExceeded as exc:
-                outcomes[backend] = ("budget", exc.pairs_processed,
-                                     exc.basis_size)
+                outcomes[name] = ("budget", exc.pairs_processed,
+                                  exc.basis_size)
         if outcomes["pure"] != outcomes["compiled"]:
             failures.append(f"case {i}: backend outcomes differ")
         elif outcomes["pure"][0] == "basis":
@@ -215,6 +259,12 @@ def cross_backend_mirror(n: int = 150):
             nf_comp = reduce(f, gb, backend_name="compiled")
             if nf_pure != nf_comp:
                 failures.append(f"case {i}: normal forms differ")
+        kind = ("lex", ring.order.kind, "block")[i % 3]
+        f = _random_poly(shuffler, ring, 4, 3)
+        for name in ("pure", "compiled"):
+            for label in _term_order_failures(backend.get(name), gens, f,
+                                              kind, shuffler):
+                failures.append(f"case {i}: {label} depends on term order")
         cases += 1
     return cases, failures[:5]
 
@@ -397,7 +447,9 @@ def boundary_mirror():
 #
 # The term-by-term loops that ``*``, ``-``, ``derivations.apply`` and
 # ``CombinationWitness.verify`` used before they summed into one dict and
-# reduced mod p once.  They are kept here only as the oracle.
+# reduced mod p once, and that ``Polynomial.derivative`` and
+# ``dehomogenize`` used before they became one comprehension each.  They
+# are kept here only as the oracle.
 
 
 def _ref_mul(f, g):
@@ -441,6 +493,38 @@ def _ref_sub(f, g):
                                        {e: p - c for e, c in g._terms.items()}))
 
 
+def _ref_derivative(f, i):
+    """d/dx_i, summing and pruning as if two terms could meet."""
+    p = f.ring.p
+    out = {}
+    for exps, c in f._terms.items():
+        e = exps[i]
+        cc = (c * e) % p
+        if e == 0 or cc == 0:
+            continue
+        new = exps[:i] + (e - 1,) + exps[i + 1:]
+        s = (out.get(new, 0) + cc) % p
+        if s:
+            out[new] = s
+        else:
+            out.pop(new, None)
+    return Polynomial._raw(f.ring, out)
+
+
+def _ref_dehomogenize_terms(f, i):
+    """The terms of f with x_i set to 1, summed and pruned one by one."""
+    p = f.ring.p
+    out = {}
+    for exps, c in f._terms.items():
+        new = exps[:i] + exps[i + 1:]
+        s = (out.get(new, 0) + c) % p
+        if s:
+            out[new] = s
+        else:
+            out.pop(new, None)
+    return out
+
+
 def _ref_apply(delta, f):
     """A derivative, a product and a sum per variable."""
     if f.ring != delta.ring:
@@ -479,13 +563,14 @@ def _outcome(fn, *args):
 
 
 def ring_fastpath_oracle(n: int = CASE_TARGET):
-    """``*``, ``-``, ``apply``, ``CombinationWitness.verify`` and parsing
-    printed text against the reference loops above: 1-8 variables, p in
-    {2, 5, 2147483629}, all three orders, zero and single-term operands,
-    and operands from another ring, which must raise ``ContextError``."""
+    """``*``, ``-``, ``apply``, ``CombinationWitness.verify``,
+    ``derivative``, ``dehomogenize`` and parsing printed text against the
+    reference loops above: 1-8 variables, p in {2, 5, 2147483629}, all
+    three orders, zero and single-term operands, and operands from another
+    ring, which must raise ``ContextError``."""
     rng = random.Random(1212)
     failures = []
-    rings = {}  # PolyRing checks p by trial division: build each once
+    rings = {}
 
     def make_ring(nvars, p, order):
         """Two equal rings that are distinct objects."""
@@ -520,6 +605,11 @@ def ring_fastpath_oracle(n: int = CASE_TARGET):
         if rng.random() < 0.5:
             target = _ref_add(target, _fastpath_poly(rng, ring))
         wit = CombinationWitness(target, tuple(gens), tuple(cofs), rem)
+        k = i % nvars  # the variable to differentiate, or the chart
+        top = max(map(sum, f._terms), default=0)
+        hom = Polynomial._raw(ring, {e: c for e, c in f._terms.items()
+                                     if sum(e) == top})
+        chart = dehomogenize(hom, k)._terms if nvars > 1 else {}
         mixed = CombinationWitness(target, tuple(gens) + (h,),
                                    tuple(cofs) + (f,), rem)
         pairs = (
@@ -527,6 +617,9 @@ def ring_fastpath_oracle(n: int = CASE_TARGET):
             ("-", f - g, _ref_sub(f, g)),
             ("int -", 3 - f, _ref_sub(ring.constant(3), f)),
             ("apply", apply(delta, f), _ref_apply(delta, f)),
+            ("derivative", f.derivative(k), _ref_derivative(f, k)),
+            ("dehomogenize", chart,
+             _ref_dehomogenize_terms(hom, k) if nvars > 1 else {}),
             ("verify", wit.verify(), _ref_verify(wit)),
             ("parse", parse_poly(ring, str(f)), f),
             ("mixed ==", f == h, False),

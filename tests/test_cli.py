@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from godeaux import backend
+from godeaux import backend, cli
 from godeaux.cli import main
 from godeaux.rings import DEGREVLEX, PolyRing, parse_poly
 from godeaux.suite import REPORT_TAMPERINGS
@@ -126,7 +126,6 @@ class TestReverify:
             raise AssertionError("reverify called a Groebner kernel")
 
         monkeypatch.setattr(backend, "get", no_kernel)
-        monkeypatch.setattr(backend, "for_ring", no_kernel)
         assert main(["reverify", str(GOLDEN)]) == 0
 
 
@@ -237,6 +236,12 @@ class TestInvariants:
         assert "k2 = 5" in out
         assert "h0_omega_lower = 4" in out
 
+    def test_torsor_at_another_characteristic(self, capsys):
+        assert main(["invariants", "torsor", "--p", "3", "--chi", "1",
+                     "--k2", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "chi = 3" in out and "h0_omega_lower = 2" in out
+
     def test_betti(self, capsys):
         assert main(["invariants", "betti", "--chi", "1", "--k2", "1"]) == 0
         out = capsys.readouterr().out
@@ -250,6 +255,33 @@ class TestInvariants:
 
     def test_inconsistent_betti_is_usage_error(self, capsys):
         assert main(["invariants", "betti", "--chi", "0", "--k2", "5"]) == 2
+
+
+class TestFlagPlacement:
+    """Each flag belongs to the subcommands that read it.  A flag given at
+    a level that does not read it is refused; it used to be parsed there
+    and then overwritten by the subcommand's default, silently."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "7", "verify"],
+        ["--p", "3", "groebner", "ideal.txt"],
+        ["invariants", "--p", "3", "torsor", "--chi", "1", "--k2", "1"],
+        ["invariants", "hypersurface", "--d", "5", "--p", "3"],
+        ["reverify", "--format", "json", "report.json"],
+    ], ids=["seed-before-verify", "p-before-groebner", "p-before-torsor",
+            "p-for-hypersurface", "format-for-reverify"])
+    def test_misplaced_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_verify_reads_its_seed(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_all",
+                            lambda seed, budget, only: seen.append(seed) or [])
+        assert main(["verify", "--seed", "7"]) == 0
+        assert seen == [7]
 
 
 class TestConsoleScript:

@@ -1,7 +1,13 @@
 """Groebner engine: bases, membership, elimination, kernels, smoothness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import godeaux
 from godeaux import _kernel_pure, backend
 from godeaux.errors import BudgetExceeded, ContextError
 from godeaux.fixtures import load_fixtures
@@ -175,6 +181,37 @@ class TestBackendRouting:
             compiled.normal_form(x.items_sorted(), terms[:2], 3, 5, "lex")
         assert reduce(x, gens[:2]) == parse_poly(ring, "z^65536") \
             == reduce(x, gens[:2], backend_name="pure")
+
+    @pytest.mark.parametrize("nvars, p", [(17, 5), (3, 2147483659)],
+                             ids=["17-variables", "p-past-2^31"])
+    def test_ring_past_static_limits_reruns_on_pure(self, nvars, p,
+                                                     monkeypatch):
+        # The compiled kernel alone knows its limits: it raises
+        # OverflowError, and the one routing rule reruns on pure.
+        monkeypatch.setenv("GODEAUX_BACKEND", "compiled")
+        compiled = backend.get("compiled")
+        ring = PolyRing([f"x{i}" for i in range(nvars)], p, DEGREVLEX)
+        xs = ring.gens()
+        gens = [xs[0] ** 2 - xs[-1], xs[-1] ** 2 + ring.constant(3),
+                xs[0] * xs[1] - 1]
+        terms = [list(g.terms().items()) for g in gens]
+        with pytest.raises(OverflowError):
+            compiled.buchberger(terms, nvars, p, "degrevlex")
+        with pytest.raises(OverflowError):
+            compiled.normal_form(terms[0], terms[1:], nvars, p, "degrevlex")
+        gb = buchberger(gens)
+        assert gb.backend == "pure"
+        pure = buchberger(gens, backend_name="pure")
+        assert (gb.polynomials, gb.pairs_processed) == \
+            (pure.polynomials, pure.pairs_processed)
+        assert reduce(xs[0] ** 3, gens) == reduce(xs[0] ** 3, gens,
+                                                  backend_name="pure")
+
+    def test_invalid_ring_is_still_a_value_error(self):
+        compiled = backend.get("compiled")
+        for nvars, p in ((0, 5), (2, 1), (2, -(1 << 70))):
+            with pytest.raises(ValueError):
+                compiled.buchberger([], nvars, p, "degrevlex")
 
     def test_auto_equals_pure_above_degree_limit(self, monkeypatch):
         monkeypatch.setenv("GODEAUX_BACKEND", "auto")
@@ -539,3 +576,54 @@ class TestSmoothness:
     def test_foreign_locus_rejected(self):
         with pytest.raises(ContextError):
             jacobian_smoothness([p2("x")], 1, locus=[p3("z")])
+
+
+# Loads the compiled kernel from the file named in argv[1], arms a 0.5 s
+# alarm whose handler raises, and runs a lex system whose basis takes
+# minutes and ever more memory (capped at 1 GiB here) to compute.
+_INTERRUPT_CHILD = """
+import importlib.machinery, importlib.util, resource, signal, sys, time
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+loader = importlib.machinery.ExtensionFileLoader("godeaux._kernel", sys.argv[1])
+kernel = importlib.util.module_from_spec(
+    importlib.util.spec_from_loader("godeaux._kernel", loader))
+loader.exec_module(kernel)
+
+from godeaux.rings import LEX, PolyRing, parse_poly
+
+class Alarm(Exception):
+    pass
+
+def on_alarm(signum, frame):
+    raise Alarm
+
+ring = PolyRing(("x", "y", "z", "w"), 7, LEX)
+gens = [parse_poly(ring, t) for t in (
+    "3*x*y*z + 2*y^2", "4*x*y*w + 4*x*z*w + 5*z", "y^52530 + 3*z", "z^2 + 3")]
+signal.signal(signal.SIGALRM, on_alarm)
+signal.setitimer(signal.ITIMER_REAL, 0.5)
+start = time.perf_counter()
+try:
+    kernel.buchberger([list(g.terms().items()) for g in gens], 4, 7, "lex",
+                      budget=None)
+except Alarm:
+    print(time.perf_counter() - start)
+else:
+    print("finished")
+"""
+
+
+def test_compiled_kernel_is_interruptible():
+    # The kernel polls for signals, so the alarm handler's exception
+    # surfaces within seconds; a kernel that does not runs into the
+    # 30 s timeout.
+    if backend._compiled is None:
+        pytest.skip("the compiled kernel is not built")
+    src = Path(godeaux.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTERRUPT_CHILD, backend._compiled.__file__],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 5.0, proc.stdout

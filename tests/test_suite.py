@@ -192,7 +192,6 @@ class TestWitnesses:
             raise AssertionError("re-verification called a Groebner kernel")
 
         monkeypatch.setattr(backend, "get", no_kernel)
-        monkeypatch.setattr(backend, "for_ring", no_kernel)
         saved = [CheckResult(**e) for e in json.loads(GOLDEN.read_text())]
         for r in list(suite_results) + saved:
             assert verify_witness(r, fixtures, seed=1), r.id
