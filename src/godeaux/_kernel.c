@@ -23,14 +23,17 @@
    The kernel knows its limits only here: callers do not check them.
 
    Polynomials are arrays of terms, largest monomial first; a term is
-   ``nw + 1`` words, the monomial and then the coefficient.
+   ``nw + 1`` words, the monomial and then the coefficient.  A reducer is
+   scaled monic once, as ``set_add`` adopts it.
 
    Reduction merges sorted streams (Monagan & Pearce, "Polynomial
    division using dynamic arrays, heaps, and packed exponent vectors",
    CASC 2007): the polynomial being reduced is a heap of streams, each a
    polynomial times a monomial and a scalar.  Popping the largest
    monomial sums every stream that heads with it; a reduction step adds
-   one stream, the reducer's tail times the quotient term.
+   one stream, the monic reducer's tail times the negated term.
+   ``reduce_basis`` reduces each tail against the whole basis: a tail
+   monomial lies below its own leading monomial, which never divides it.
 
    Signals.  Both loops poll for pending signals, the Buchberger loop once
    per S-pair and ``nf`` every SIGNAL_POLL popped monomials, so Ctrl-C or
@@ -224,9 +227,9 @@ static void poly_free(Poly *f)
     *f = (Poly){0};
 }
 
-typedef struct {              /* a reducer or basis element */
+typedef struct {              /* a monic reducer or basis element */
     Poly g;
-    u64 mask, inv;            /* divmask and inverse of the leading coeff */
+    u64 mask;                 /* divmask of the leading monomial */
     long e[MAX_VARS];         /* leading exponents */
 } Elem;
 
@@ -235,15 +238,20 @@ typedef struct {
     ssize n, cap;
 } Set;
 
-/* Appends g (which the set then owns) with its leading data. */
-static int set_add(const Ring *r, Set *S, Poly g, u64 inv)
+/* Appends the nonzero g (which the set then owns), scaled monic, with its
+   leading data. */
+static int set_add(const Ring *r, Set *S, Poly g)
 {
+    int nw = r->nw;
+    u64 inv = modpow(g.t[nw], r->p - 2, r->p);
+    for (ssize k = 0; inv != 1 && k < g.len; k++)
+        g.t[k * (nw + 1) + nw] = g.t[k * (nw + 1) + nw] * inv % r->p;
     if (S->n == S->cap) {
         if (grow(&S->v, S->cap ? 2 * S->cap : 16, sizeof *S->v) < 0)
             return -1;
         S->cap = S->cap ? 2 * S->cap : 16;
     }
-    S->v[S->n] = (Elem){.g = g, .mask = divmask(r, g.t), .inv = inv};
+    S->v[S->n] = (Elem){.g = g, .mask = divmask(r, g.t)};
     exps(r, g.t, S->v[S->n++].e);
     return 0;
 }
@@ -361,10 +369,10 @@ static int merge_next(Merge *M, u64 *m, u64 *c)
     return 0;
 }
 
-/* Full normal form of the merge's contents modulo R, skipping reducer
-   ``skip``, appended to out.  The divisor of each monomial is the first
-   reducer whose leading monomial divides it, as in the pure kernel. */
-static int nf(Merge *M, const Set *R, ssize skip, Poly *out)
+/* Full normal form of the merge's contents modulo the monic reducers R,
+   appended to out.  The divisor of each monomial is the first reducer
+   whose leading monomial divides it, as in the pure kernel. */
+static int nf(Merge *M, const Set *R, Poly *out)
 {
     const Ring *r = M->r;
     int nw = r->nw, got;
@@ -374,7 +382,7 @@ static int nf(Merge *M, const Set *R, ssize skip, Poly *out)
         ssize k = 0;
         if (++pops % SIGNAL_POLL == 0 && PyErr_CheckSignals() < 0)
             return -1;
-        while (k < R->n && (k == skip || (R->v[k].mask & ~mask)
+        while (k < R->n && ((R->v[k].mask & ~mask)
                             || !mdivides(R->v[k].g.t, m, nw)))
             k++;
         if (k == R->n) {
@@ -383,8 +391,7 @@ static int nf(Merge *M, const Set *R, ssize skip, Poly *out)
         }
         mdiv(q, m, R->v[k].g.t, nw);
         /* the head term cancels m exactly; add the negated tail */
-        if (merge_add(M, &R->v[k].g, 1, q,
-                      (r->p - c * R->v[k].inv % r->p) % r->p) < 0)
+        if (merge_add(M, &R->v[k].g, 1, q, r->p - c) < 0)
             return -1;
     }
     return got;
@@ -617,17 +624,13 @@ done:
     return rc;
 }
 
-/* Makes *d monic and adopts it into the basis (*d is left empty): 1 when
-   d is a constant, so the ideal is the unit ideal. */
+/* Adopts *d into the basis (*d is left empty): 1 when d is a constant,
+   so the ideal is the unit ideal. */
 static int install(const Ring *r, Set *B, Pairs *P, Poly *d)
 {
-    int nw = r->nw;
-    u64 inv = modpow(d->t[nw], r->p - 2, r->p);
-    for (ssize k = 0; inv != 1 && k < d->len; k++)
-        d->t[k * (nw + 1) + nw] = d->t[k * (nw + 1) + nw] * inv % r->p;
-    for (int w = 0; w < nw; w++)
+    for (int w = 0; w < r->nw; w++)
         if (d->t[w]) {
-            if (set_add(r, B, *d, 1) < 0) return -1;
+            if (set_add(r, B, *d) < 0) return -1;
             *d = (Poly){0};
             return pairs_update(r, P, B);
         }
@@ -657,14 +660,15 @@ static PyObject *reduce_basis(const Ring *r, Set *B, Merge *M)
         while (j < K.n && !mdivides(K.v[j].g.t, lms + i * nw, nw))
             j++;
         if (j == K.n) {
-            if (set_add(r, &K, B->v[i].g, 1) < 0) goto done;
+            if (set_add(r, &K, B->v[i].g) < 0) goto done;
             B->v[i].g = (Poly){0};
         }
     }
-    for (ssize i = 0; i < K.n; i++) {
-        Poly red = {0};
-        if (merge_add(M, &K.v[i].g, 0, NULL, 1) < 0
-            || nf(M, &K, i, &red) < 0) {
+    for (ssize i = 0; i < K.n; i++) {     /* the leading term, then the */
+        Poly red = {0};                   /* tail reduced modulo all of K */
+        if (poly_push(&red, nw, K.v[i].g.t, 1) < 0
+            || merge_add(M, &K.v[i].g, 1, NULL, 1) < 0
+            || nf(M, &K, &red) < 0) {
             poly_free(&red);
             goto done;
         }
@@ -737,7 +741,7 @@ static PyObject *py_buchberger(PyObject *self, PyObject *args, PyObject *kw)
         if (merge_add(&M, &B.v[q.i].g, 0, s, 1) < 0) goto done;
         mdiv(s, q.l, B.v[q.j].g.t, r.nw);
         if (merge_add(&M, &B.v[q.j].g, 0, s, r.p - 1) < 0
-            || nf(&M, &B, -1, &d) < 0
+            || nf(&M, &B, &d) < 0
             || (d.len && (unit = install(&r, &B, &P, &d)) < 0))
             goto done;
     }
@@ -779,15 +783,13 @@ static PyObject *py_normal_form(PyObject *self, PyObject *args, PyObject *kw)
         goto done;
     for (ssize i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
         if (to_poly(&r, pobj, PySequence_Fast_GET_ITEM(seq, i), &d) < 0
-            || (d.len && set_add(&r, &R, d, modpow(d.t[r.nw], r.p - 2, r.p))
-                < 0))
+            || (d.len && set_add(&r, &R, d) < 0))
             goto done;
         if (d.len)
             d = (Poly){0};    /* now owned by R */
-        poly_free(&d);
     }
     if (to_poly(&r, pobj, f_terms, &f) < 0
-        || merge_add(&M, &f, 0, NULL, 1) < 0 || nf(&M, &R, -1, &d) < 0)
+        || merge_add(&M, &f, 0, NULL, 1) < 0 || nf(&M, &R, &d) < 0)
         goto done;
     out = to_terms(&r, &d);
 done:

@@ -46,16 +46,22 @@ Algorithm notes:
   (in insertion order) whose leading monomial divides the candidate.
 * The budget caps processed S-pairs and raises ``BudgetExceeded``.
 
+Reducers are monic ``(lm, tail)`` pairs, the leading term left out: it
+always cancels exactly.  ``normal_form`` scales each generator once.
+Cofactor tracking is one reduction log per normal form, ``(reducer
+index, shift, coefficient)`` per step.  ``normal_form_tracked`` turns it
+into quotients over the inputs, times each leading-coefficient inverse;
+``_buchberger`` seeds it with the S-pair's two lifts and replays it over
+the cofactor rows.
+
 First-divisor memo: inside one ``_buchberger`` run the reducer list is
 only appended to, so a monomial's first divisor, once found, stays the
 first, and a monomial with none among ``reducers[:n]`` needs only
 ``reducers[n:]`` scanned next time.  The run's memo records either, and
-the rule above is kept exactly.  Tracked runs clear the reducers'
-quotient dicts per pair, which touches neither the list nor the memo.
-The memo's keys are packed at one width, so each ``_Overflow`` rerun
-starts a fresh one.  ``normal_form`` and ``_reduce_basis`` pass an empty
-memo: one normal form never pops a monomial twice, and each element of
-``_reduce_basis`` has its own reducer list.
+the rule above is kept exactly.  The memo's keys are packed at one width,
+so each ``_Overflow`` rerun starts a fresh one.  ``normal_form`` and
+``_reduce_basis`` pass an empty memo: one normal form never pops a
+monomial twice, and ``_reduce_basis`` replaces reducer tails as it goes.
 """
 
 from __future__ import annotations
@@ -126,17 +132,15 @@ def _packed(nvars, kind, split, polys, run):
 # -- normal form ---------------------------------------------------------------
 
 
-def _nf(work, reducers, p, guard, memo):
+def _nf(work, reducers, p, guard, memo, log=None):
     """Full normal form of the packed dict ``work``, which is consumed.
 
-    ``reducers``: list of (lm, lc_inv, tail, quotient) scanned in order;
-    the first dividing leading monomial wins.  ``tail`` is the reducer
-    without its leading term, which always cancels exactly.  ``quotient``
-    is a dict that accumulates that reducer's quotient in place, so that
-    f = sum(quotient_i * g_i) + r, or None when quotients are not wanted.
-    ``memo`` maps a monomial to the index of its first divisor, or to
-    ``~n`` when ``reducers[:n]`` hold none (see the module docstring).
-    Returns the remainder as a fresh dict.
+    ``reducers``: list of monic (lm, tail) scanned in order; the first
+    dividing leading monomial wins.  ``memo`` maps a monomial to the index
+    of its first divisor, or to ``~n`` when ``reducers[:n]`` hold none
+    (see the module docstring).  A ``log`` list gets ``(k, shift, c)`` for
+    each step, so that f = sum(c * x^shift * reducers[k]) + r.  Returns the
+    remainder as a fresh dict.
     """
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -158,15 +162,10 @@ def _nf(work, reducers, p, guard, memo):
                 memo[m] = ~nred
                 out[m] = c
                 continue
-        lm, lcinv, tail, qd = reducers[k]
+        lm, tail = reducers[k]
         q = m - lm
-        factor = (c * lcinv) % p
-        if qd is not None:
-            s = (qd.get(q, 0) + factor) % p
-            if s:
-                qd[q] = s
-            else:
-                qd.pop(q, None)
+        if log is not None:
+            log.append((k, q, c))
         # Every new monomial is below m, so none is pushed twice; a
         # cancelled one stays in ``work`` as 0 until it is popped.
         for e2, c2 in tail.items():
@@ -176,9 +175,9 @@ def _nf(work, reducers, p, guard, memo):
                 if e & guard:
                     raise _Overflow
                 heappush(heap, -e)
-                work[e] = -factor * c2 % p
+                work[e] = -c * c2 % p
             else:
-                work[e] = (prev - factor * c2) % p
+                work[e] = (prev - c * c2) % p
     return out
 
 
@@ -192,8 +191,6 @@ def _tail(d, lm):
 
 
 def _scale(d, c, p):
-    if c == 1:
-        return dict(d)
     return {e: (v * c) % p for e, v in d.items()}
 
 
@@ -275,20 +272,22 @@ class _PairQueue:
         return None
 
 
-def _sub_quotients(rep, reducers, reps, p, guard):
-    """rep -= sum(quotient_b * reps[b]), over the reducers' quotient dicts."""
-    for (_, _, _, qd), rb in zip(reducers, reps):
-        for q, c in qd.items():
-            for k, r in enumerate(rb):
-                if r:
-                    _axpy(rep[k], p - c, q, r, p, guard)
+def _replay(rep, log, reps, p, guard):
+    """rep -= sum(c * x^shift * reps[k]) over the ``_nf`` log entries."""
+    for k, q, c in log:
+        for t, r in enumerate(reps[k]):
+            if r:
+                _axpy(rep[t], p - c, q, r, p, guard)
 
 
 def _reduce_basis(basis, lms, p, guard, reps=None):
     """Minimalize and tail-reduce to the canonical reduced basis.
 
-    Returns (basis, reps) sorted largest leading monomial first; ``reps``
-    is carried through the same row operations when provided.
+    Each tail is reduced against the whole basis, tails already reduced
+    included: a tail monomial lies below its own leading monomial, which
+    therefore never divides it.  Returns (basis, reps) sorted largest
+    leading monomial first; ``reps`` is carried through the same row
+    operations when provided.
     """
     kept = []
     for i in sorted(range(len(basis)), key=lms.__getitem__):
@@ -299,16 +298,14 @@ def _reduce_basis(basis, lms, p, guard, reps=None):
     lms = [lms[i] for i in kept]
     if reps is not None:
         reps = [reps[i] for i in kept]
-    tails = [_tail(d, lm) for d, lm in zip(basis, lms)]
-    for idx in range(len(basis)):
-        others = [j for j in range(len(basis)) if j != idx]
-        reducers = [(lms[j], 1, tails[j], None if reps is None else {})
-                    for j in others]
-        basis[idx] = _nf(basis[idx], reducers, p, guard, {})
-        tails[idx] = _tail(basis[idx], lms[idx])
-        if reps is not None:
-            _sub_quotients(reps[idx], reducers, [reps[j] for j in others], p,
-                           guard)
+    reducers = [(lm, _tail(d, lm)) for d, lm in zip(basis, lms)]
+    for idx, (lm, tail) in enumerate(reducers):
+        log = None if reps is None else []
+        tail = _nf(tail, reducers, p, guard, {}, log)  # consumes the old tail
+        reducers[idx] = (lm, tail)
+        basis[idx] = {lm: 1, **tail}
+        if log:
+            _replay(reps[idx], log, reps, p, guard)
     final = sorted(range(len(basis)), key=lms.__getitem__, reverse=True)
     basis = [basis[i] for i in final]
     if reps is not None:
@@ -319,25 +316,23 @@ def _reduce_basis(basis, lms, p, guard, reps=None):
 def _buchberger(gens, p, pk, budget, track):
     """The one Buchberger loop; cofactors are carried only under ``track``.
 
-    ``gens`` are packed dicts.  Returns ``(basis, reps, pairs_processed,
-    unit_rep)`` as packed dicts.  When 1 is discovered the run stops at
-    once with ``basis`` None and ``unit_rep`` the cofactors expressing 1
-    over the inputs.  ``reps`` and ``unit_rep`` are None when ``track`` is
-    false.
+    ``gens`` are packed dicts.  Returns ``(basis, reps, pairs_processed)``
+    as packed dicts, ``reps[k]`` holding basis element k's cofactors over
+    the inputs (each None when ``track`` is false).  When 1 is discovered
+    the run stops at once with basis ``[1]`` and its cofactor row.
     """
     guard = pk.guard
     ngen = len(gens)
     basis = []
     lms = []
     reps = []
-    reducers = []   # (lm, 1, tail, quotient dict or None)
+    reducers = []   # monic (lm, tail)
     memo = {}
     queue = _PairQueue(pk)
     pairs_processed = 0
-    unit_rep = None
 
     def install(d, rep):
-        nonlocal unit_rep
+        """Make d monic and add it; True when it is the constant 1."""
         lm = max(d)
         lc = d[lm]
         if lc != 1:
@@ -345,13 +340,12 @@ def _buchberger(gens, p, pk, budget, track):
             d = _scale(d, inv, p)
             if track:
                 rep = [_scale(r, inv, p) for r in rep]
-        if lm == 0:
-            unit_rep = rep
-            return True
         basis.append(d)
         lms.append(lm)
         reps.append(rep)
-        reducers.append((lm, 1, _tail(d, lm), {} if track else None))
+        if lm == 0:
+            return True
+        reducers.append((lm, _tail(d, lm)))
         queue.update(lms, len(basis) - 1)
         return False
 
@@ -363,7 +357,7 @@ def _buchberger(gens, p, pk, budget, track):
             rep = [dict() for _ in range(ngen)]
             rep[k][0] = 1
         if install(d, rep):
-            return None, None, pairs_processed, unit_rep
+            return basis[-1:], reps[-1:], pairs_processed
 
     while True:
         item = queue.pop()
@@ -378,24 +372,21 @@ def _buchberger(gens, p, pk, budget, track):
         s = {}
         _axpy(s, 1, qi, basis[i], p, guard)
         _axpy(s, p - 1, qj, basis[j], p, guard)
-        if track:
-            for red in reducers:
-                red[3].clear()
-        r = _nf(s, reducers, p, guard, memo)
+        # The seed entries sum to -s, so the whole log sums to -r and
+        # replaying it onto zero rows gives the cofactors of r.
+        log = [(i, qi, p - 1), (j, qj, 1)] if track else None
+        r = _nf(s, reducers, p, guard, memo, log)
         if not r:
             continue
         rep = None
         if track:
             rep = [dict() for _ in range(ngen)]
-            for k in range(ngen):
-                _axpy(rep[k], 1, qi, reps[i][k], p, guard)
-                _axpy(rep[k], p - 1, qj, reps[j][k], p, guard)
-            _sub_quotients(rep, reducers, reps, p, guard)
+            _replay(rep, log, reps, p, guard)
         if install(r, rep):
-            return None, None, pairs_processed, unit_rep
+            return basis[-1:], reps[-1:], pairs_processed
 
     basis, reps = _reduce_basis(basis, lms, p, guard, reps if track else None)
-    return basis, reps, pairs_processed, None
+    return basis, reps, pairs_processed
 
 
 # -- public boundary --------------------------------------------------------------
@@ -406,21 +397,24 @@ def _to_terms(d, pk):
     return [(dec(m), d[m]) for m in sorted(d, reverse=True)]
 
 
-def _reducers(gens, p, quotients):
-    """Reducer tuples for the nonzero packed generators, in input order;
-    each generator's leading term is popped, leaving its tail."""
-    out = []
-    for d, qd in zip(gens, quotients):
+def _reducers(gens, p):
+    """Monic ``(lm, tail)`` reducers for the nonzero packed generators, in
+    input order, and per reducer its generator's index and the inverse of
+    that generator's leading coefficient.  The generators are consumed."""
+    reducers, owners = [], []
+    for k, d in enumerate(gens):
         if d:
             lm = max(d)
-            out.append((lm, pow(d.pop(lm), p - 2, p), d, qd))
-    return out
+            inv = pow(d.pop(lm), p - 2, p)
+            reducers.append((lm, d if inv == 1 else _scale(d, inv, p)))
+            owners.append((k, inv))
+    return reducers, owners
 
 
 def normal_form(f_terms, gens_terms, nvars, p, kind, split=None):
     def run(pk, polys):
         f, *gens = polys
-        reducers = _reducers(gens, p, [None] * len(gens))
+        reducers, _ = _reducers(gens, p)
         return _to_terms(_nf(f, reducers, p, pk.guard, {}), pk)
     return _packed(nvars, kind, split, [f_terms, *gens_terms], run)
 
@@ -428,9 +422,7 @@ def normal_form(f_terms, gens_terms, nvars, p, kind, split=None):
 def buchberger(gens_terms, nvars, p, kind, split=None, budget=None):
     """Reduced Groebner basis and the processed-pair count."""
     def run(pk, gens):
-        basis, _, pairs, _ = _buchberger(gens, p, pk, budget, False)
-        if basis is None:
-            return [[((0,) * nvars, 1)]], pairs
+        basis, _, pairs = _buchberger(gens, p, pk, budget, False)
         return [_to_terms(d, pk) for d in basis], pairs
     return _packed(nvars, kind, split, gens_terms, run)
 
@@ -439,28 +431,27 @@ def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
     """Remainder plus per-generator quotients (aligned with the input)."""
     def run(pk, polys):
         f, *gens = polys
+        reducers, owners = _reducers(gens, p)
+        log = []
+        r = _nf(f, reducers, p, pk.guard, {}, log)
         quots = [dict() for _ in gens]
-        r = _nf(f, _reducers(gens, p, quots), p, pk.guard, {})
+        for k, q, c in log:   # one normal form reduces each monomial once
+            owner, inv = owners[k]
+            quots[owner][q] = c * inv % p
         return _to_terms(r, pk), [_to_terms(q, pk) for q in quots]
     return _packed(nvars, kind, split, [f_terms, *gens_terms], run)
 
 
-def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None,
-                       stop_on_unit=False):
+def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None):
     """Buchberger with cofactor tracking over the original generators.
 
-    Returns ``(basis, reps, pairs_processed, unit_rep)``.  ``reps[k]``
-    expresses basis element k as cofactors over the inputs.  When 1 is
-    discovered and ``stop_on_unit`` is set, the run aborts immediately
-    with ``unit_rep`` (cofactors expressing 1) and no basis.
+    Returns ``(basis, reps, pairs_processed, None)``: ``reps[k]`` expresses
+    basis element k as cofactors over the inputs; for the unit ideal the
+    basis is ``[1]``.  The last slot is always None; it stays because
+    ``perfbench/tracing.py`` unpacks four values.
     """
     def run(pk, gens):
-        basis, reps, pairs, unit = _buchberger(gens, p, pk, budget, True)
-        if basis is None:
-            unit = [_to_terms(r, pk) for r in unit]
-            if stop_on_unit:
-                return None, None, pairs, unit
-            return [[((0,) * nvars, 1)]], [unit], pairs, None
-        reps_terms = [[_to_terms(r, pk) for r in rep] for rep in reps]
-        return [_to_terms(d, pk) for d in basis], reps_terms, pairs, None
+        basis, reps, pairs = _buchberger(gens, p, pk, budget, True)
+        return ([_to_terms(d, pk) for d in basis],
+                [[_to_terms(r, pk) for r in rep] for rep in reps], pairs, None)
     return _packed(nvars, kind, split, gens_terms, run)

@@ -51,12 +51,15 @@ _FLAGS = {  # settings key -> (flag, add_argument options)
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+def _add_flags(parser: argparse.ArgumentParser, homes: dict,
+               *names: str) -> None:
     """Give a subcommand the shared flags it reads, and only those: a flag
-    parsed at two levels would let the lower level's default win."""
+    parsed at two levels would let the lower level's default win.
+    ``homes`` maps each flag to the commands (``prog``) that take it."""
     for name in names:
         flag, options = _FLAGS[name]
         parser.add_argument(flag, **options)
+        homes.setdefault(flag, []).append(parser.prog)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,10 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="godeaux",
         description="Exact characteristic-p verification engine")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.flag_homes = homes = {}
 
     verify = sub.add_parser("verify",
                             help="run the 14-check verification suite")
-    _add_flags(verify, "p", "seed", "budget", "fmt", "only")
+    _add_flags(verify, homes, "p", "seed", "budget", "fmt", "only")
 
     rev = sub.add_parser("reverify",
                          help="re-check the witnesses of a saved JSON report "
@@ -75,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     rev.add_argument("report", help="output of `godeaux verify --format json`")
 
     kernel = sub.add_parser("kernel", help="graded kernel of a derivation")
-    _add_flags(kernel, "p", "order", "fmt")
+    _add_flags(kernel, homes, "p", "order", "fmt")
     kernel.add_argument("file", help="derivation file: `var -> poly` lines, "
                                      "optional `p = ...` / `vars = ...` header")
     kernel.add_argument("--degree", type=int, required=True)
 
     groebner = sub.add_parser("groebner", help="reduced basis of an ideal")
-    _add_flags(groebner, "p", "order", "budget", "fmt")
+    _add_flags(groebner, homes, "p", "order", "budget", "fmt")
     groebner.add_argument("file", help="ideal file: one polynomial per line, "
                                        "optional `p = ...` / `vars = ...` "
                                        "header")
@@ -91,24 +95,24 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = inv.add_subparsers(dest="invariant_kind", required=True)
 
     hyper = kinds.add_parser("hypersurface")
-    _add_flags(hyper, "fmt")
+    _add_flags(hyper, homes, "fmt")
     hyper.add_argument("--d", type=int, required=True,
                        help="hypersurface degree")
 
     feas = kinds.add_parser("feasible")
-    _add_flags(feas, "fmt")
+    _add_flags(feas, homes, "fmt")
     feas.add_argument("--kind", choices=("singular", "supersingular"),
                       required=True)
     feas.add_argument("--threshold", type=int, default=-4)
     feas.add_argument("--cover-bound", dest="cover_bound", type=int, default=6)
 
     torsor = kinds.add_parser("torsor")
-    _add_flags(torsor, "p", "fmt")
+    _add_flags(torsor, homes, "p", "fmt")
     torsor.add_argument("--chi", type=int, required=True)
     torsor.add_argument("--k2", type=int, required=True)
 
     betti = kinds.add_parser("betti")
-    _add_flags(betti, "fmt")
+    _add_flags(betti, homes, "fmt")
     betti.add_argument("--chi", type=int, required=True)
     betti.add_argument("--k2", type=int, required=True)
     betti.add_argument("--b1", type=int, default=0)
@@ -250,12 +254,7 @@ def cmd_groebner(args, settings) -> int:
         if settings["fmt"] == "json":
             _emit_json({"basis": [], "pairs_processed": 0})
         return 0
-    try:
-        gb = buchberger(gens, budget=settings["budget"])
-    except BudgetExceeded as exc:
-        print(f"budget exceeded after {exc.pairs_processed} pairs "
-              f"(basis size {exc.basis_size})", file=sys.stderr)
-        return BUDGET_EXIT
+    gb = buchberger(gens, budget=settings["budget"])
     if settings["fmt"] == "json":
         _emit_json({"basis": [str(g) for g in gb.polynomials],
                     "pairs_processed": gb.pairs_processed})
@@ -304,8 +303,24 @@ _COMMANDS = {
 }
 
 
+def _refuse_early_flag(parser: argparse.ArgumentParser, argv: list) -> None:
+    """Exit 2 naming where a shared flag goes when it comes before the
+    subcommand; argparse would take its value for the subcommand."""
+    i = next((k for k, a in enumerate(argv) if a.startswith("-")), len(argv))
+    flag = argv[i] if i < len(argv) else None
+    before = " ".join([parser.prog, *argv[:i]]) + " "
+    homes = [h for h in parser.flag_homes.get(flag, ()) if h.startswith(before)]
+    if not homes:
+        return
+    home = next((h for h in homes if h.split()[-1] in argv), homes[0])
+    parser.error(f"{flag} goes after the subcommand: "
+                 f"{' '.join([home, *argv[i:i + 2]])}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _refuse_early_flag(parser, argv)
     args = parser.parse_args(argv)
     try:
         settings = _settings(args)

@@ -131,13 +131,16 @@ def _nullspace_echelon(matrix: list[list[int]], ncols: int, p: int) -> list[list
     """Reduced-echelon basis of the right nullspace of ``matrix`` over F_p.
 
     Columns are taken in the given order (descending monomial order by the
-    callers), so each returned vector leads at its largest monomial and no
-    leading position appears in another vector.
+    callers), and eliminated right to left.  A pivot row's other entries
+    then lie in free columns left of its pivot, so the vector of a free
+    column c is 1 at c and nonzero elsewhere only in pivot columns right
+    of c: it leads at c, no leading position appears in another vector,
+    and the vectors come out in order of their leading column.
     """
     rows = [row[:] for row in matrix if any(row)]
     pivots: dict[int, int] = {}
     r = 0
-    for c in range(ncols):
+    for c in reversed(range(ncols)):
         pivot_row = None
         for k in range(r, len(rows)):
             if rows[k][c]:
@@ -154,30 +157,15 @@ def _nullspace_echelon(matrix: list[list[int]], ncols: int, p: int) -> list[list
                 rows[k] = [(a - factor * b) % p for a, b in zip(rows[k], rows[r])]
         pivots[c] = r
         r += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free_cols:
+    out = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
         vec = [0] * ncols
         vec[c] = 1
         for pc, pr in pivots.items():
             vec[pc] = (-rows[pr][c]) % p
-        basis.append(vec)
-    # Echelonize the kernel vectors themselves against the column order.
-    out: list[list[int]] = []
-    for vec in basis:
-        vec = vec[:]
-        for done in out:
-            lead = next(i for i, v in enumerate(done) if v)
-            if vec[lead]:
-                factor = vec[lead]
-                vec = [(a - factor * b) % p for a, b in zip(vec, done)]
-        lead = next((i for i, v in enumerate(vec) if v), None)
-        if lead is None:
-            continue
-        inv = pow(vec[lead], p - 2, p)
-        vec = [(v * inv) % p for v in vec]
         out.append(vec)
-    out.sort(key=lambda v: next(i for i, x in enumerate(v) if x))
     return out
 
 

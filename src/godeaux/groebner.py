@@ -231,21 +231,17 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
                          backend=name)
 
 
-def _buchberger_tracked(gens: Sequence[Polynomial], budget: int | None,
-                        stop_on_unit: bool):
+def _buchberger_tracked(gens: Sequence[Polynomial], budget: int | None):
     """Pure-kernel Buchberger with cofactors over the original generators.
 
-    Returns ``(basis, reps, pairs, unit)`` as in
+    Returns ``(basis, reps, pairs)`` as in
     ``_kernel_pure.buchberger_tracked``, with polynomials for term lists.
     """
     ring = _common_ring(list(gens))
-    (basis, reps, pairs, unit), _ = _run_kernel(
-        ring, "pure", "buchberger_tracked", _to_termlists(gens),
-        budget=budget, stop_on_unit=stop_on_unit)
-    if unit is not None:
-        return None, None, pairs, [_from_terms(ring, u) for u in unit]
+    (basis, reps, pairs, _), _ = _run_kernel(
+        ring, "pure", "buchberger_tracked", _to_termlists(gens), budget=budget)
     return ([_from_terms(ring, t) for t in basis],
-            [[_from_terms(ring, r) for r in rep] for rep in reps], pairs, None)
+            [[_from_terms(ring, r) for r in rep] for rep in reps], pairs)
 
 
 def ideal_member(f: Polynomial, gens, budget: int | None = DEFAULT_BUDGET,
@@ -268,7 +264,7 @@ def ideal_member(f: Polynomial, gens, budget: int | None = DEFAULT_BUDGET,
     if not witness:
         gb = buchberger(gens, budget=budget, backend_name=backend_name)
         return reduce(f, gb, backend_name=backend_name).is_zero()
-    basis, reps, _, _ = _buchberger_tracked(gens, budget, False)
+    basis, reps, _ = _buchberger_tracked(gens, budget)
     r, quots = reduce_tracked(f, basis)
     sums = [{} for _ in gens]  # cofactor k = sum_j quots[j] * reps[j][k]
     for q, rep in zip(quots, reps):
@@ -498,13 +494,14 @@ def jacobian_minors(gens: Sequence[Polynomial], codim: int) -> list[Polynomial]:
 
 def _unit_witness(system: Sequence[Polynomial],
                   budget: int | None) -> tuple[CombinationWitness | None, int]:
-    """Cofactors expressing 1 over ``system`` (pure kernel, early stop)."""
-    _, _, pairs, unit = _buchberger_tracked(system, budget, True)
-    if unit is None:
-        return None, pairs
+    """Cofactors expressing 1 over ``system`` (pure kernel; the run stops
+    as soon as 1 appears)."""
+    basis, reps, pairs = _buchberger_tracked(system, budget)
     ring = system[0].ring
+    if basis != [ring.one()]:
+        return None, pairs
     wit = CombinationWitness(target=ring.one(), generators=tuple(system),
-                             cofactors=tuple(unit), remainder=ring.zero())
+                             cofactors=tuple(reps[0]), remainder=ring.zero())
     return wit, pairs
 
 

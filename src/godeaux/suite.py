@@ -744,9 +744,10 @@ def verify_witness(result: CheckResult,
     from the parsed relations and printed, so a minor saved as an equal
     polynomial in other text reads as ``False``.  C12 depends on the
     seed, so its element is checked instead: killed by the field, with
-    the recorded nonzero value at the fixed point.  The eliminated kernels of C7 and C9 are read from
-    the witness, not recomputed.  A witness of the wrong shape (a missing
-    key, a list where a mapping belongs) reads as ``False``.
+    the recorded nonzero value at the fixed point.  The eliminated
+    kernels of C7 and C9 are read from the witness, not recomputed.  A
+    witness of the wrong shape (a missing key, a list where a mapping
+    belongs) reads as ``False``.
     """
     if result.status != PASS:
         return False

@@ -262,19 +262,23 @@ class TestFlagPlacement:
     a level that does not read it is refused; it used to be parsed there
     and then overwritten by the subcommand's default, silently."""
 
-    @pytest.mark.parametrize("argv", [
-        ["--seed", "7", "verify"],
-        ["--p", "3", "groebner", "ideal.txt"],
-        ["invariants", "--p", "3", "torsor", "--chi", "1", "--k2", "1"],
-        ["invariants", "hypersurface", "--d", "5", "--p", "3"],
-        ["reverify", "--format", "json", "report.json"],
+    @pytest.mark.parametrize("argv, says", [
+        (["--seed", "7", "verify"],
+         "--seed goes after the subcommand: godeaux verify --seed 7"),
+        (["--p", "3", "groebner", "ideal.txt"],
+         "--p goes after the subcommand: godeaux groebner --p 3"),
+        (["invariants", "--p", "3", "torsor", "--chi", "1", "--k2", "1"],
+         "--p goes after the subcommand: godeaux invariants torsor --p 3"),
+        (["invariants", "hypersurface", "--d", "5", "--p", "3"], "error:"),
+        (["reverify", "--format", "json", "report.json"], "error:"),
     ], ids=["seed-before-verify", "p-before-groebner", "p-before-torsor",
             "p-for-hypersurface", "format-for-reverify"])
-    def test_misplaced_flag_exits_two(self, argv, capsys):
+    def test_misplaced_flag_exits_two(self, argv, says, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and says in err
 
     def test_verify_reads_its_seed(self, monkeypatch, capsys):
         seen = []

@@ -115,6 +115,14 @@ class TestGradedKernel:
                 if f is not g:
                     assert f.coefficient(g.leading_monomial()) == 0
 
+    def test_reduced_when_a_later_vector_leads_inside_an_earlier_one(self):
+        # b^2 leads the second vector, so the first must not contain it.
+        ring = PolyRing(("a", "b", "c", "d"), 5, DEGREVLEX)
+        delta = parse_derivation(ring, "a -> 4*b\nb -> 4*a\nc -> 4*b\n"
+                                       "d -> b + 3*d")
+        assert [str(f) for f in graded_kernel(delta, 2)] == \
+            ["a^2 + 3*a*c + c^2", "b^2 + 3*a*c + c^2"]
+
     def test_zero_derivation_full_space(self):
         zero = Derivation(R4, (R4.zero(),) * 4)
         assert len(graded_kernel(zero, 2)) == 10

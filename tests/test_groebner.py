@@ -88,8 +88,6 @@ class TestBuchberger:
         gens = [p2("x").items_sorted(), [], p2("3").items_sorted()]
         unit = [[], [], [((0, 0), 2)]]
         args = (gens, 2, 5, "degrevlex")
-        assert _kernel_pure.buchberger_tracked(*args, stop_on_unit=True) == \
-            (None, None, 0, unit)
         assert _kernel_pure.buchberger_tracked(*args) == \
             ([[((0, 0), 1)]], [unit], 0, None)
 
@@ -121,6 +119,16 @@ class TestReduction:
         for c, g in zip(cofs, gens):
             acc = acc + c * g
         assert acc == f
+
+    def test_reduce_tracked_non_monic_reducers(self):
+        # Reducers are scaled monic inside the kernel; the quotients must
+        # carry each inverse back: 2^-1 = 3 and 3^-1 = 2 mod 5.
+        gens = [p2("2*x^2 - y"), p2("3*y^2 - 1")]
+        f = p2("x^4 + x*y + 2")
+        nf, cofs = reduce_tracked(f, gens)
+        assert nf == reduce(f, gens, backend_name="pure") == p2("x*y")
+        assert cofs == (p2("3*x^2 + 4*y"), p2("3"))
+        assert nf + cofs[0] * gens[0] + cofs[1] * gens[1] == f
 
     def test_reduce_tracked_zero_reducer_keeps_alignment(self):
         gens = [p2("x^2 - y"), R2.zero(), p2("y^2 - 1")]
@@ -356,9 +364,9 @@ def test_lex_tower_reruns_with_a_fresh_memo(monkeypatch):
     starts = []  # (run, memo, its size) as each normal form starts
     nf = _kernel_pure._nf
 
-    def recording(work, reducers, p, guard, memo):
+    def recording(work, reducers, p, guard, memo, log=None):
         starts.append((len(widths), memo, len(memo)))
-        return nf(work, reducers, p, guard, memo)
+        return nf(work, reducers, p, guard, memo, log)
 
     monkeypatch.setattr(_kernel_pure, "_nf", recording)
     monkeypatch.setattr(_kernel_pure, "_first_width", int.bit_length)
@@ -374,15 +382,15 @@ class TestFirstDivisorMemo:
 
     PK = _kernel_pure._Packing(2, "lex", None, 8)
 
-    def reducer(self, lead, tail, quotient=None):
+    def reducer(self, lead, tail):
         """A monic reducer x^a*y^b + sum(c * x^i*y^j) as ``_nf`` takes it."""
         enc = self.PK.enc
-        return (enc(lead), 1, {enc(e): c for e, c in tail.items()}, quotient)
+        return (enc(lead), {enc(e): c for e, c in tail.items()})
 
-    def nf(self, exps, reducers, memo):
+    def nf(self, exps, reducers, memo, log=None):
         enc = self.PK.enc
         out = _kernel_pure._nf({enc(exps): 1}, reducers, 5, self.PK.guard,
-                               memo)
+                               memo, log)
         return {self.PK.dec(m): c for m, c in out.items()}
 
     def test_miss_then_appended_reducer(self):
@@ -400,14 +408,13 @@ class TestFirstDivisorMemo:
     @pytest.mark.parametrize("first", [0, 1])
     def test_earlier_of_two_divisors_wins(self, first):
         # x*y - 1 leaves x, x^2 - y leaves y^2: both divide x^2*y
-        by_xy = self.reducer((1, 1), {(0, 0): 4}, {})
-        by_x2 = self.reducer((2, 0), {(0, 1): 4}, {})
+        by_xy = self.reducer((1, 1), {(0, 0): 4})
+        by_x2 = self.reducer((2, 0), {(0, 1): 4})
         reducers = [by_xy, by_x2] if first == 0 else [by_x2, by_xy]
-        memo = {}
-        remainder = self.nf((2, 1), reducers, memo)
+        memo, log = {}, []
+        remainder = self.nf((2, 1), reducers, memo, log)
         assert memo[self.PK.enc((2, 1))] == 0
-        used, unused = reducers[0][3], reducers[1][3]
-        assert unused == {} and len(used) == 1
+        assert [k for k, _, _ in log] == [0]
         assert remainder == ({(1, 0): 1} if first == 0 else {(0, 2): 1})
 
 
