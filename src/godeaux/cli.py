@@ -117,6 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     betti.add_argument("--k2", type=int, required=True)
     betti.add_argument("--b1", type=int, default=0)
 
+    parser.commands = {c.prog for c in [*sub.choices.values(),
+                                        *kinds.choices.values()]}
     return parser
 
 
@@ -305,16 +307,24 @@ _COMMANDS = {
 
 def _refuse_early_flag(parser: argparse.ArgumentParser, argv: list) -> None:
     """Exit 2 naming where a shared flag goes when it comes before the
-    subcommand; argparse would take its value for the subcommand."""
+    subcommand or follows one without it: argparse would blame other tokens."""
     i = next((k for k, a in enumerate(argv) if a.startswith("-")), len(argv))
     flag = argv[i] if i < len(argv) else None
     before = " ".join([parser.prog, *argv[:i]]) + " "
     homes = [h for h in parser.flag_homes.get(flag, ()) if h.startswith(before)]
-    if not homes:
+    if homes:
+        home = next((h for h in homes if h.split()[-1] in argv), homes[0])
+        parser.error(f"{flag} goes after the subcommand: "
+                     f"{' '.join([home, *argv[i:i + 2]])}")
+    prefixes = (" ".join([parser.prog, *argv[:k]]) for k in range(i, 0, -1))
+    command = next((c for c in prefixes if c in parser.commands), None)
+    if command is None:
         return
-    home = next((h for h in homes if h.split()[-1] in argv), homes[0])
-    parser.error(f"{flag} goes after the subcommand: "
-                 f"{' '.join([home, *argv[i:i + 2]])}")
+    for flag in argv[i:]:
+        homes = parser.flag_homes.get(flag, ())
+        if homes and command not in homes:
+            parser.error(f"{command.split()[-1]} takes no {flag}; it goes "
+                         f"with: {', '.join(homes)}")
 
 
 def main(argv=None) -> int:

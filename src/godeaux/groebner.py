@@ -5,21 +5,23 @@ re-verifiable cofactor witnesses, radical membership, elimination,
 ring-map kernels via graph ideals, and Jacobian smoothness certificates.
 The heavy loops run in a kernel backend, and ``_run_kernel`` is the one
 place that calls one: on the selected backend (compiled when available),
-or on the pure kernel for cofactor tracking.  A call past the compiled
-kernel's limits raises OverflowError there and reruns on the pure kernel,
-whose results are byte-identical by construction.
+or on the pure kernel for cofactor tracking.  It takes a ring's shape and
+term lists, so auxiliary systems need no ring of their own.  A call past
+the compiled kernel's limits raises OverflowError there and reruns on the
+pure kernel, whose results are byte-identical by construction.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import backend as _backend
 from .errors import ContextError, EngineError
-from .rings import (DEGREVLEX, PolyRing, Polynomial, add_product, block_order,
-                    substitute)
+from .rings import (DEGREVLEX, MonomialOrder, PolyRing, Polynomial, add_product,
+                    block_order, substitute)
 
 DEFAULT_BUDGET = 100000
 
@@ -41,26 +43,24 @@ def _common_ring(polys: Sequence[Polynomial]) -> PolyRing:
     return ring
 
 
-def _to_termlists(polys: Iterable[Polynomial]) -> list:
-    return [f._terms.items() for f in polys]
-
-
 def _from_terms(ring: PolyRing, terms) -> Polynomial:
     return Polynomial._raw(ring, dict(terms))
 
 
-def _run_kernel(ring: PolyRing, backend_name: str | None, fn: str, *args,
-                **kwargs):
-    """``fn(*args, nvars, p, kind, split=..., **kwargs)`` on the named kernel.
+def _run_kernel(nvars: int, p: int, order: MonomialOrder,
+                backend_name: str | None, fn: str, *args, **kwargs):
+    """``fn(*args, nvars, p, order.kind, split=order.split, **kwargs)`` on
+    the named kernel, for a ring of that shape.
 
     Returns ``(result, backend name)``.  The compiled kernel raises
     OverflowError for a ring past its static limits, or when a monomial
     outgrows its fields, at the inputs or mid-run; the call then reruns
-    on the pure kernel.  Term lists go in as pairs in any order.
+    on the pure kernel.  Term lists of ``(exponents, coefficient in
+    1..p-1)`` go in in any order and come back largest monomial first.
     """
     def call(kern):
-        return (getattr(kern, fn)(*args, ring.nvars, ring.p, ring.order.kind,
-                                  split=ring.order.split, **kwargs),
+        return (getattr(kern, fn)(*args, nvars, p, order.kind,
+                                  split=order.split, **kwargs),
                 kern.BACKEND_NAME)
 
     kern = _backend.get(backend_name)
@@ -196,11 +196,11 @@ def reduce(f: Polynomial, reducers, backend_name: str | None = None) -> Polynomi
     """Full normal form of f against the reducers, in their given order."""
     polys = _reducer_polys(reducers)
     ring = _common_ring([f] + polys) if polys else f.ring
-    live = [g for g in polys if not g.is_zero()]
+    live = [g._terms.items() for g in polys if g._terms]
     if f.is_zero() or not live:
         return f
-    out, _ = _run_kernel(ring, backend_name, "normal_form", f._terms.items(),
-                         _to_termlists(live))
+    out, _ = _run_kernel(ring.nvars, ring.p, ring.order, backend_name,
+                         "normal_form", f._terms.items(), live)
     return _from_terms(ring, out)
 
 
@@ -209,8 +209,9 @@ def reduce_tracked(f: Polynomial, reducers) -> tuple[Polynomial, tuple[Polynomia
     f = sum(quotient_i * reducer_i) + remainder)."""
     polys = _reducer_polys(reducers)
     ring = _common_ring([f] + polys) if polys else f.ring
-    (r, quots), _ = _run_kernel(ring, "pure", "normal_form_tracked",
-                                f._terms.items(), _to_termlists(polys))
+    (r, quots), _ = _run_kernel(ring.nvars, ring.p, ring.order, "pure",
+                                "normal_form_tracked", f._terms.items(),
+                                [g._terms.items() for g in polys])
     return (_from_terms(ring, r),
             tuple(_from_terms(ring, q) for q in quots))
 
@@ -223,9 +224,10 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
     pass ``budget=None`` to run unbounded.
     """
     ring = _common_ring(list(gens))
-    live = [g for g in gens if not g.is_zero()]
+    live = [g._terms.items() for g in gens if g._terms]
     (basis_terms, pairs), name = _run_kernel(
-        ring, backend_name, "buchberger", _to_termlists(live), budget=budget)
+        ring.nvars, ring.p, ring.order, backend_name, "buchberger", live,
+        budget=budget)
     polys = tuple(_from_terms(ring, t) for t in basis_terms)
     return GroebnerBasis(ring=ring, polynomials=polys, pairs_processed=pairs,
                          backend=name)
@@ -239,7 +241,8 @@ def _buchberger_tracked(gens: Sequence[Polynomial], budget: int | None):
     """
     ring = _common_ring(list(gens))
     (basis, reps, pairs, _), _ = _run_kernel(
-        ring, "pure", "buchberger_tracked", _to_termlists(gens), budget=budget)
+        ring.nvars, ring.p, ring.order, "pure", "buchberger_tracked",
+        [g._terms.items() for g in gens], budget=budget)
     return ([_from_terms(ring, t) for t in basis],
             [[_from_terms(ring, r) for r in rep] for rep in reps], pairs)
 
@@ -280,22 +283,18 @@ def radical_member(f: Polynomial, gens: Sequence[Polynomial],
                    budget: int | None = DEFAULT_BUDGET,
                    backend_name: str | None = None) -> bool:
     """Radical membership via the auxiliary-variable localization trick:
-    f is in the radical iff 1 lies in (gens, 1 - T*f) with T fresh."""
+    f is in the radical iff 1 lies in (gens, 1 - T*f), T an extra exponent."""
     gens = list(gens)
     ring = _common_ring([f] + gens)
-    aux = "_t"
-    while aux in ring.variables:
-        aux += "_"
-    ext = PolyRing(ring.variables + (aux,), ring.p, DEGREVLEX)
-
-    def lift(g: Polynomial) -> Polynomial:
-        return Polynomial._raw(ext, {e + (0,): c for e, c in g._terms.items()})
-
-    t = ext.gen(aux)
-    system = [lift(g) for g in gens if not g.is_zero()]
-    system.append(ext.one() - t * lift(f))
-    gb = buchberger(system, budget=budget, backend_name=backend_name)
-    return gb.is_unit_ideal()
+    n, p = ring.nvars, ring.p
+    one = (0,) * (n + 1)
+    system = [[(e + (0,), c) for e, c in g._terms.items()]
+              for g in gens if g._terms]
+    system.append([(one, 1)] + [(e + (1,), p - c)
+                                for e, c in f._terms.items()])
+    (basis, _), _ = _run_kernel(n + 1, p, DEGREVLEX, backend_name,
+                                "buchberger", system, budget=budget)
+    return len(basis) == 1 and list(basis[0]) == [(one, 1)]
 
 
 # -- elimination and ring-map kernels ------------------------------------------
@@ -310,12 +309,6 @@ def eliminate(gens: Sequence[Polynomial], drop, budget: int | None = DEFAULT_BUD
     ideal, living in a fresh ring on the kept variables; it is complete
     for the intersection by the elimination property of block orders.
     """
-    return _eliminate(gens, drop, budget, backend_name)[0]
-
-
-def _eliminate(gens: Sequence[Polynomial], drop, budget: int | None,
-               backend_name: str | None) -> tuple[list[Polynomial], GroebnerBasis]:
-    """``eliminate`` plus the block-order basis it projected from."""
     gens = list(gens)
     ring = _common_ring(gens)
     drop_idx = sorted({ring.var_index(v) for v in drop})
@@ -324,24 +317,26 @@ def _eliminate(gens: Sequence[Polynomial], drop, budget: int | None,
     if len(drop_idx) >= ring.nvars:
         raise ValueError("cannot eliminate every variable")
     keep_idx = [i for i in range(ring.nvars) if i not in drop_idx]
-    perm = drop_idx + keep_idx  # position j of the work ring <- source var perm[j]
-    work = PolyRing([ring.variables[i] for i in perm], ring.p,
-                    block_order(len(drop_idx)))
+    perm = operator.itemgetter(*(drop_idx + keep_idx))
+    system = [[(perm(e), c) for e, c in g._terms.items()]
+              for g in gens if g._terms]
+    kept, _, _ = _eliminate(system, ring.nvars, ring.p, len(drop_idx),
+                            budget, backend_name)
     target = PolyRing([ring.variables[i] for i in keep_idx], ring.p, DEGREVLEX)
+    return [Polynomial._raw(target, t) for t in kept]
 
-    def to_work(g: Polynomial) -> Polynomial:
-        return Polynomial._raw(work, {tuple(e[i] for i in perm): c
-                                      for e, c in g._terms.items()})
 
-    gb = buchberger([to_work(g) for g in gens if not g.is_zero()],
-                    budget=budget, backend_name=backend_name)
-    nd = len(drop_idx)
-    out = []
-    for f in gb.polynomials:
-        if all(all(v == 0 for v in e[:nd]) for e in f._terms):
-            out.append(Polynomial._raw(target, {e[nd:]: c
-                                                for e, c in f._terms.items()}))
-    return out, gb
+def _eliminate(system: list, nvars: int, p: int, nd: int, budget: int | None,
+               backend_name: str | None) -> tuple[list[dict], int, str]:
+    """``(kept, pairs, backend)``: kept are the elements of the block-order
+    basis of ``system`` (term lists, the ``nd`` dropped variables first)
+    free of those variables, as term dicts over the rest, in basis order."""
+    (basis, pairs), name = _run_kernel(nvars, p, block_order(nd),
+                                       backend_name, "buchberger", system,
+                                       budget=budget)
+    kept = [{e[nd:]: c for e, c in t} for t in basis
+            if not any(any(e[:nd]) for e, _ in t)]
+    return kept, pairs, name
 
 
 def _frobenius_seeds(source_ring: PolyRing, target_ring: PolyRing,
@@ -400,9 +395,9 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
                     seed: bool = True) -> KernelPresentation:
     """Kernel of the ring map sending each source variable to its image.
 
-    Builds the graph ideal (source_var - image) in the combined ring with
-    the target variables leading, then eliminates them as ``eliminate``
-    does.  Frobenius-power seeds (see ``_frobenius_seeds``) are added to
+    Builds the graph ideal (source_var - image) as term lists over the
+    target variables followed by the source ones, then eliminates the
+    target variables as ``eliminate`` does.  Frobenius-power seeds (see ``_frobenius_seeds``) are added to
     the same ideal when available; they change nothing about the ideal
     and keep the pair count small on p-th-power subring instances.  Every
     returned generator is substitution-checked to actually vanish.
@@ -420,32 +415,23 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
         raise ContextError(f"source and target variables overlap: {sorted(overlap)}")
 
     nt, ns = target_ring.nvars, source_ring.nvars
-    combined = PolyRing(target_ring.variables + source_ring.variables,
-                        target_ring.p, DEGREVLEX)
-
-    def lift_target(g: Polynomial) -> Polynomial:
-        return Polynomial._raw(combined, {e + (0,) * ns: c
-                                          for e, c in g._terms.items()})
-
-    def lift_source(g: Polynomial) -> Polynomial:
-        return Polynomial._raw(combined, {(0,) * nt + e: c
-                                          for e, c in g._terms.items()})
-
-    graph = []
+    p, zt, zs = target_ring.p, (0,) * nt, (0,) * ns
+    graph = []  # source_var_i - image_i, target exponents first
     for i, g in enumerate(images):
-        graph.append(lift_source(source_ring.gen(i)) - lift_target(g))
+        graph.append([(zt + zs[:i] + (1,) + zs[i + 1:], 1)]
+                     + [(e + zs, p - c) for e, c in g._terms.items()])
     seeds = _frobenius_seeds(source_ring, target_ring, images) if seed else []
-    graph.extend(lift_source(s) for s in seeds)
+    graph.extend([(zt + e, c) for e, c in g._terms.items()] for g in seeds)
 
-    kept, gb = _eliminate(graph, range(nt), budget, backend_name)
-    out = [Polynomial._raw(source_ring, g._terms) for g in kept]
+    kept, pairs, name = _eliminate(graph, nt + ns, p, nt, budget, backend_name)
+    out = [Polynomial._raw(source_ring, t) for t in kept]
     for g in out:
         if not substitute(g, target_ring, images).is_zero():
             raise EngineError("internal error: eliminated generator fails the "
                               "substitution check")
     return KernelPresentation(source_ring=source_ring, generators=tuple(out),
-                              seeds=tuple(seeds), pairs_processed=gb.pairs_processed,
-                              backend=gb.backend)
+                              seeds=tuple(seeds), pairs_processed=pairs,
+                              backend=name)
 
 
 # -- smoothness ----------------------------------------------------------------

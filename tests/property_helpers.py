@@ -11,16 +11,18 @@ from __future__ import annotations
 import os
 import random
 
-from godeaux import _kernel_pure, backend
+from godeaux import _kernel_pure, backend, groebner
 from godeaux.backend import available_backends
 from godeaux.derivations import Derivation, apply, chart_transform, graded_kernel
-from godeaux.errors import BudgetExceeded, ContextError
+from godeaux.errors import BudgetExceeded, ContextError, EngineError
 from godeaux.fixtures import load_fixtures
-from godeaux.groebner import (CombinationWitness, buchberger, reduce,
-                              spolynomial)
+from godeaux.groebner import (CombinationWitness, KernelPresentation,
+                              _common_ring, _frobenius_seeds, buchberger,
+                              eliminate, radical_member, reduce,
+                              ring_map_kernel, spolynomial)
 from godeaux.rings import (DEGREVLEX, LEX, MonomialOrder, PolyRing,
                            Polynomial, block_order, dehomogenize,
-                           frobenius_power, parse_poly)
+                           frobenius_power, parse_poly, substitute)
 
 CASE_TARGET = 1000
 
@@ -642,6 +644,265 @@ def ring_fastpath_oracle(n: int = CASE_TARGET):
     return n, failures[:5]
 
 
+# -- reference paths for the Groebner systems built as term lists -------------
+#
+# ``radical_member``, ``_eliminate`` and ``ring_map_kernel`` as they were
+# before they built their systems as kernel term lists: through an
+# auxiliary ring, its polynomials and ``buchberger``.  They are kept here
+# only as the oracle.
+
+
+def _ref_radical_member(f, gens, budget, backend_name):
+    gens = list(gens)
+    ring = _common_ring([f] + gens)
+    aux = "_t"
+    while aux in ring.variables:
+        aux += "_"
+    ext = PolyRing(ring.variables + (aux,), ring.p, DEGREVLEX)
+
+    def lift(g):
+        return Polynomial._raw(ext, {e + (0,): c for e, c in g._terms.items()})
+
+    t = ext.gen(aux)
+    system = [lift(g) for g in gens if not g.is_zero()]
+    system.append(ext.one() - t * lift(f))
+    gb = buchberger(system, budget=budget, backend_name=backend_name)
+    return gb.is_unit_ideal()
+
+
+def _ref_eliminate(gens, drop, budget, backend_name):
+    """The eliminated generators and the block-order basis they came from."""
+    gens = list(gens)
+    ring = _common_ring(gens)
+    drop_idx = sorted({ring.var_index(v) for v in drop})
+    if not drop_idx:
+        raise ValueError("nothing to eliminate")
+    if len(drop_idx) >= ring.nvars:
+        raise ValueError("cannot eliminate every variable")
+    keep_idx = [i for i in range(ring.nvars) if i not in drop_idx]
+    perm = drop_idx + keep_idx  # position j of the work ring <- source var perm[j]
+    work = PolyRing([ring.variables[i] for i in perm], ring.p,
+                    block_order(len(drop_idx)))
+    target = PolyRing([ring.variables[i] for i in keep_idx], ring.p, DEGREVLEX)
+
+    def to_work(g):
+        return Polynomial._raw(work, {tuple(e[i] for i in perm): c
+                                      for e, c in g._terms.items()})
+
+    gb = buchberger([to_work(g) for g in gens if not g.is_zero()],
+                    budget=budget, backend_name=backend_name)
+    nd = len(drop_idx)
+    out = []
+    for f in gb.polynomials:
+        if all(all(v == 0 for v in e[:nd]) for e in f._terms):
+            out.append(Polynomial._raw(target, {e[nd:]: c
+                                                for e, c in f._terms.items()}))
+    return out, gb
+
+
+def _ref_ring_map_kernel(source_ring, target_ring, images, budget,
+                         backend_name, seed):
+    images = list(images)
+    if len(images) != source_ring.nvars:
+        raise ContextError("need exactly one image per source variable")
+    for g in images:
+        if g.ring != target_ring:
+            raise ContextError("images must live in the target ring")
+    if source_ring.p != target_ring.p:
+        raise ContextError("characteristics differ")
+    overlap = set(source_ring.variables) & set(target_ring.variables)
+    if overlap:
+        raise ContextError(f"source and target variables overlap: {sorted(overlap)}")
+
+    nt, ns = target_ring.nvars, source_ring.nvars
+    combined = PolyRing(target_ring.variables + source_ring.variables,
+                        target_ring.p, DEGREVLEX)
+
+    def lift_target(g):
+        return Polynomial._raw(combined, {e + (0,) * ns: c
+                                          for e, c in g._terms.items()})
+
+    def lift_source(g):
+        return Polynomial._raw(combined, {(0,) * nt + e: c
+                                          for e, c in g._terms.items()})
+
+    graph = []
+    for i, g in enumerate(images):
+        graph.append(lift_source(source_ring.gen(i)) - lift_target(g))
+    seeds = _frobenius_seeds(source_ring, target_ring, images) if seed else []
+    graph.extend(lift_source(s) for s in seeds)
+
+    kept, gb = _ref_eliminate(graph, range(nt), budget, backend_name)
+    out = [Polynomial._raw(source_ring, g._terms) for g in kept]
+    for g in out:
+        if not substitute(g, target_ring, images).is_zero():
+            raise EngineError("internal error: eliminated generator fails the "
+                              "substitution check")
+    return KernelPresentation(source_ring=source_ring, generators=tuple(out),
+                              seeds=tuple(seeds), pairs_processed=gb.pairs_processed,
+                              backend=gb.backend)
+
+
+def _system_poly(rng, ring, max_terms=3, max_degree=2, min_degree=0):
+    """Nonzero, up to ``max_terms`` terms of total degree ``min_degree`` to
+    ``max_degree``, coefficients anywhere in 1 .. p - 1."""
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, max_terms)):
+            exps = [0] * ring.nvars
+            for _ in range(rng.randint(min_degree, max_degree)):
+                exps[rng.randrange(ring.nvars)] += 1
+            terms[tuple(exps)] = rng.randrange(1, ring.p) if ring.p > 2 else 1
+    return ring.from_terms(terms)
+
+
+def _radical_case(rng, i, ring):
+    """(f, gens) with f in the radical by construction in two of three
+    cases: a combination of the generators, or f^2 among them.  The
+    generators vanish at the origin, so the ideal is never the unit one."""
+    gens = [_system_poly(rng, ring, min_degree=1)
+            for _ in range(rng.randint(2, 3))]
+    if i % 3 == 0:
+        f = sum((_system_poly(rng, ring, 2, 1) * g for g in gens), ring.zero())
+    elif i % 3 == 1:
+        f = _system_poly(rng, ring)
+        gens.append(f ** 2)
+    else:
+        f = _system_poly(rng, ring)
+    if i % 7 == 0:
+        gens.insert(rng.randrange(len(gens) + 1), ring.zero())
+    return f, gens
+
+
+def _elimination_case(rng, i, ring, other):
+    """(gens, drop); one case in seven is invalid in one of five ways, and
+    the all-zero system is valid."""
+    gens = [_system_poly(rng, ring) for _ in range(rng.randint(2, 3))]
+    if i % 5 == 0:
+        gens.insert(rng.randrange(len(gens) + 1), ring.zero())
+    picked = rng.sample(range(ring.nvars), rng.randint(1, min(2, ring.nvars - 1)))
+    drop = picked if i % 2 else [ring.variables[j] for j in picked]
+    bad = i // 7 % 5 if i % 7 == 3 else None
+    if bad == 0:
+        drop = ()
+    elif bad == 1:
+        drop = list(ring.variables)
+    elif bad == 2:
+        drop = ["nope"]
+    elif bad == 3:
+        gens.append(_system_poly(rng, other))
+    elif bad == 4:
+        gens = [ring.zero()] * len(gens)
+    return gens, drop
+
+
+def _kernel_case(rng, i, nvars, p, order):
+    """(source ring, target ring, images): 1-2 target variables, and on
+    p <= 7 in three cases of five each target variable's p-th power among
+    the images, so Frobenius seeds exist.  One case in seven is invalid."""
+    nt = rng.randint(1, min(2, nvars - 1))
+    ns = nvars - nt
+    target = PolyRing([f"t{j}" for j in range(nt)], p, order)
+    source = PolyRing([f"s{j}" for j in range(ns)], p, order)
+    images = [_system_poly(rng, target) for _ in range(ns)]
+    if p <= 7 and rng.random() < 0.6 and ns > nt:
+        images[:nt] = [target.gen(j) ** p for j in range(nt)]
+    bad = i // 7 % 3 if i % 7 == 5 else None
+    if bad == 0:
+        images.append(target.one())
+    elif bad == 1:
+        source = PolyRing(["t0"] + list(source.variables[1:]), p, order)
+    elif bad == 2:
+        target = PolyRing(target.variables, 3 if p != 3 else 5, order)
+        images = [target.one()] * ns
+        source = PolyRing(source.variables, p, order)
+    return source, target, images
+
+
+def groebner_fastpath_oracle(n: int = 240):
+    """``radical_member``, ``eliminate`` and ``ring_map_kernel`` against the
+    auxiliary-ring references above, on both backends: 2-5 variables, p in
+    {2, 5, 7, 2147483629}, degrevlex and lex rings (one with a variable
+    named ``_t``), drop sets of 1-2 variables by name and by index, plain
+    and Frobenius-seeded kernels, budget stops and invalid input.  The
+    answers, generator strings, exception types and messages, and every
+    kernel call (ring shape, basis, pair count and backend name) must be
+    equal; ``eliminate`` of an all-zero system must return ``[]``."""
+    if "compiled" not in available_backends():
+        return 0, ["compiled backend unavailable"]
+    rng = random.Random(1313)
+    failures = []
+    cases = 0
+    calls = []
+    real = groebner._run_kernel
+
+    def spy(nvars, p, order, backend_name, fn, *args, **kwargs):
+        out = real(nvars, p, order, backend_name, fn, *args, **kwargs)
+        calls.append((nvars, p, order, fn, out))
+        return out
+
+    def run(fn, *args):
+        calls.clear()
+        try:
+            value = fn(*args)
+        except Exception as exc:  # compared, not swallowed
+            value = (type(exc), str(exc))
+        if isinstance(value, KernelPresentation):
+            value = (value.source_ring.variables,
+                     [str(g) for g in value.generators],
+                     [str(g) for g in value.seeds], value.pairs_processed,
+                     value.backend)
+        elif isinstance(value, list):
+            value = [(g.ring.variables, g.ring.order, str(g)) for g in value]
+        return value, list(calls)
+
+    rings = {}
+    groebner._run_kernel = spy
+    try:
+        for i in range(n):
+            nvars = rng.randint(2, 5)
+            p = (2, 5, 7, 2147483629)[i % 4]
+            order = (DEGREVLEX, LEX)[i // 4 % 2]
+            names = tuple(f"x{j}" for j in range(nvars - 1)) + (
+                ("_t",) if i % 13 == 0 else (f"x{nvars - 1}",))
+            for key in ((names, p, order), (names, 3, order)):
+                if key not in rings:
+                    rings[key] = PolyRing(*key)
+            ring, other = rings[names, p, order], rings[names, 3, order]
+            budget = 1 if i % 11 == 0 else 400
+            f, gens = _radical_case(rng, i, ring)
+            elim = _elimination_case(rng, i, ring, other)
+            source, target, images = _kernel_case(rng, i, nvars, p, order)
+            for name in ("pure", "compiled"):
+                ops = (
+                    ("radical_member", radical_member, _ref_radical_member,
+                     (f, gens, budget, name)),
+                    ("eliminate", eliminate,
+                     lambda *a: _ref_eliminate(*a)[0], (*elim, budget, name)),
+                    ("ring_map_kernel", ring_map_kernel, _ref_ring_map_kernel,
+                     (source, target, images, budget, name, i % 3 != 0)),
+                )
+                for label, new, ref, args in ops:
+                    cases += 1
+                    got = run(new, *args)
+                    if label == "eliminate" and elim[0] and all(
+                            g.is_zero() for g in elim[0]):
+                        want = ([], got[1])  # the reference raised here
+                    else:
+                        want = run(ref, *args)
+                    if got[0] != want[0]:
+                        failures.append(f"case {i} {name}: {label} differs "
+                                        f"from the reference ({got[0]!r} != "
+                                        f"{want[0]!r})")
+                    elif got[1] != want[1]:
+                        failures.append(f"case {i} {name}: {label} makes "
+                                        "other kernel calls than the "
+                                        "reference")
+    finally:
+        groebner._run_kernel = real
+    return cases, failures[:5]
+
+
 SUITES = {
     "ring_axioms": ring_axioms,
     "leibniz": leibniz,
@@ -655,6 +916,7 @@ SUITES = {
     "packed_encoding": packed_encoding,
     "boundary_mirror": boundary_mirror,
     "ring_fastpath_oracle": ring_fastpath_oracle,
+    "groebner_fastpath_oracle": groebner_fastpath_oracle,
 }
 
 #: Suites the acceptance gate requires to reach CASE_TARGET cases.

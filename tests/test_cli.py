@@ -269,11 +269,30 @@ class TestFlagPlacement:
          "--p goes after the subcommand: godeaux groebner --p 3"),
         (["invariants", "--p", "3", "torsor", "--chi", "1", "--k2", "1"],
          "--p goes after the subcommand: godeaux invariants torsor --p 3"),
-        (["invariants", "hypersurface", "--d", "5", "--p", "3"], "error:"),
-        (["reverify", "--format", "json", "report.json"], "error:"),
+        (["invariants", "hypersurface", "--d", "5", "--p", "3"],
+         "error: hypersurface takes no --p; it goes with: godeaux verify, "
+         "godeaux kernel, godeaux groebner, godeaux invariants torsor\n"),
+        (["reverify", "--format", "json", "report.json"],
+         "error: reverify takes no --format; it goes with: godeaux verify, "
+         "godeaux kernel, godeaux groebner, godeaux invariants hypersurface, "
+         "godeaux invariants feasible, godeaux invariants torsor, "
+         "godeaux invariants betti\n"),
+        (["groebner", "ideal.txt", "--budget=9", "--p", "3", "--seed", "2"],
+         "error: groebner takes no --seed; it goes with: godeaux verify\n"),
+        (["groebner", "--format", "json", "ideal.txt"], None),
     ], ids=["seed-before-verify", "p-before-groebner", "p-before-torsor",
-            "p-for-hypersurface", "format-for-reverify"])
-    def test_misplaced_flag_exits_two(self, argv, says, capsys):
+            "p-for-hypersurface", "format-for-reverify", "seed-for-groebner",
+            "format-for-groebner"])
+    def test_misplaced_flag_exits_two(self, argv, says, tmp_path,
+                                      monkeypatch, capsys):
+        # says None: the flag is where it belongs, and the command runs
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ideal.txt").write_text("x^2 - y\ny^2\n")
+        if says is None:
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "basis": ["x^2 + 4*y", "y^2"], "pairs_processed": 0}
+            return
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2

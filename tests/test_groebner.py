@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import godeaux
-from godeaux import _kernel_pure, backend
+from godeaux import _kernel_pure, backend, groebner
 from godeaux.errors import BudgetExceeded, ContextError
 from godeaux.fixtures import load_fixtures
 from godeaux.groebner import (buchberger, eliminate, ideal_member,
@@ -214,6 +214,44 @@ class TestBackendRouting:
             (pure.polynomials, pure.pairs_processed)
         assert reduce(xs[0] ** 3, gens) == reduce(xs[0] ** 3, gens,
                                                   backend_name="pure")
+
+    @staticmethod
+    def _spy_backends(monkeypatch):
+        """The backend names that ``_run_kernel`` reports, call by call."""
+        names = []
+        real = groebner._run_kernel
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            names.append(out[1])
+            return out
+
+        monkeypatch.setattr(groebner, "_run_kernel", spy)
+        return names
+
+    def test_radical_system_past_max_vars_reruns_on_pure(self, monkeypatch):
+        # 16 variables fit the compiled kernel; 1 - T*f makes 17
+        monkeypatch.setenv("GODEAUX_BACKEND", "compiled")
+        compiled = backend.get("compiled")
+        ring = PolyRing([f"x{i}" for i in range(compiled.MAX_VARS)], 5,
+                        DEGREVLEX)
+        xs = ring.gens()
+        gens = [xs[0] ** 2 - xs[-1] ** 3, xs[-1] ** 4]
+        names = self._spy_backends(monkeypatch)
+        for f, answer in ((xs[0], True), (xs[1], False)):
+            assert radical_member(f, gens) is answer
+            assert radical_member(f, gens, backend_name="pure") is answer
+        assert names == ["pure"] * 4
+
+    def test_eliminate_past_modulus_limit_reruns_on_pure(self, monkeypatch):
+        monkeypatch.setenv("GODEAUX_BACKEND", "compiled")
+        ring = PolyRing(("t", "x", "y"), 2147483659, DEGREVLEX)
+        gens = [parse_poly(ring, "x - t"), parse_poly(ring, "y - t^2")]
+        names = self._spy_backends(monkeypatch)
+        out = eliminate(gens, drop=("t",))
+        assert [str(g) for g in out] == [str(g) for g in eliminate(
+            gens, drop=("t",), backend_name="pure")] == ["x^2 + 2147483658*y"]
+        assert names == ["pure", "pure"]
 
     def test_invalid_ring_is_still_a_value_error(self):
         compiled = backend.get("compiled")
@@ -453,6 +491,15 @@ class TestMembership:
         assert ideal_member(p2("x"), gens) is False
         assert radical_member(p2("y"), gens) is False
 
+    def test_radical_in_a_ring_with_a_t_variable(self):
+        # T is an exponent slot, not a name, so a variable "_t" is harmless
+        ring = PolyRing(("x", "_t"), 5, DEGREVLEX)
+        gens = [parse_poly(ring, "x^2"), parse_poly(ring, "_t^3 - 1")]
+        assert radical_member(parse_poly(ring, "x"), gens) is True
+        assert radical_member(parse_poly(ring, "x*_t + x"), gens) is True
+        assert radical_member(parse_poly(ring, "_t - 1"), gens) is False
+        assert radical_member(parse_poly(ring, "_t^3 - 1"), gens) is True
+
     def test_radical_of_power_product(self):
         # rad(x^3*y^2, z^4) = (x*y, z): multiples of z qualify, bare x does not
         gens = [p3("x^3*y^2"), p3("z^4")]
@@ -472,12 +519,25 @@ class TestEliminate:
         assert out[0].ring.variables == ("x", "y")
 
     def test_nothing_kept_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot eliminate every "
+                                             "variable$"):
             eliminate([p2("x + y")], drop=("x", "y"))
 
     def test_nothing_dropped_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^nothing to eliminate$"):
             eliminate([p2("x + y")], drop=())
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(ValueError, match="^unknown variable 'w'; ring "
+                                             "has x, y$"):
+            eliminate([p2("x + y")], drop=("w",))
+
+    def test_all_zero_generators_eliminate_to_nothing(self):
+        # the ring is known from the generators even when all are zero
+        assert eliminate([R2.zero()], [0]) == []
+        assert eliminate([R3.zero(), R3.zero()], drop=("x", "z")) == []
+        with pytest.raises(ValueError, match="^need at least one polynomial"):
+            eliminate([], drop=("x",))
 
     def test_no_relation(self):
         ring = PolyRing(("t", "x"), 5, DEGREVLEX)

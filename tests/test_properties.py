@@ -79,6 +79,12 @@ def test_ring_fastpath_oracle(property_outcomes):
     assert failures == []
 
 
+def test_groebner_fastpath_oracle(property_outcomes):
+    cases, failures = property_outcomes["groebner_fastpath_oracle"]
+    assert cases >= 1000
+    assert failures == []
+
+
 def test_every_required_suite_clean(property_outcomes):
     for name in property_helpers.REQUIRED_SUITES:
         cases, failures = property_outcomes[name]
