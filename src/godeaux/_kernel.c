@@ -24,14 +24,17 @@
 
    Polynomials are arrays of terms, largest monomial first; a term is
    ``nw + 1`` words, the monomial and then the coefficient.  A reducer is
-   scaled monic once, as ``set_add`` adopts it.
+   scaled monic once, as ``set_add`` adopts it.  At the boundary a
+   polynomial is a dict {exponents: coefficient}, as in the pure kernel;
+   anything else raises TypeError.  Input dicts are only read, and each
+   result is a new dict, largest monomial first.
 
-   Reduction merges sorted streams (Monagan & Pearce, "Polynomial
-   division using dynamic arrays, heaps, and packed exponent vectors",
-   CASC 2007): the polynomial being reduced is a heap of streams, each a
-   polynomial times a monomial and a scalar.  Popping the largest
-   monomial sums every stream that heads with it; a reduction step adds
-   one stream, the monic reducer's tail times the negated term.
+   Reduction sums into one accumulator, as the pure kernel does: a hash
+   table holds one pending coefficient per distinct monomial, and a heap
+   holds each such monomial once, largest on top.  A reduction step pops
+   the largest monomial and adds the monic reducer's tail times the
+   negated term.  Every input dict is read through the same accumulator,
+   so it comes out sorted, reduced mod p and free of zero terms.
    ``reduce_basis`` reduces each tail against the whole basis: a tail
    monomial lies below its own leading monomial, which never divides it.
 
@@ -289,95 +292,137 @@ static inline void sift_down(ssize *h, ssize n, ssize i, Above above,
     h[i] = id;
 }
 
-/* -- stream merge and normal form ----------------------------------------- */
+/* -- the term accumulator and normal form --------------------------------- */
 
-typedef struct {              /* terms idx.. of t, times x^q and f */
-    const u64 *t;
-    ssize idx, len;
-    u64 f, q[MAXW], head[MAXW];
-} Stream;
-
+/* A sum of terms in progress, as in the pure kernel: one pending term
+   per distinct monomial, found through an open-addressing hash table,
+   and each such monomial pushed once on a heap, largest on top.  A popped
+   monomial is never added again within one sum, since a reduction step
+   adds only monomials below the one it popped; so a popped term keeps
+   its table slot until the sum is drained.  */
 typedef struct {
     const Ring *r;
-    Stream *s;
-    ssize *heap;              /* heap[0..nh) live streams, [nh..ns) spare */
-    ssize nh, ns, cap;
-} Merge;
+    Poly f;                   /* the terms, in the order first added */
+    ssize *slot;              /* the table slot of each term */
+    ssize *table;             /* 2 * cap slots: term + 1, or 0 when free */
+    ssize *heap;              /* nh pending terms */
+    ssize cap, nh;
+} Acc;
 
-static int stream_above(const void *ctx, ssize a, ssize b)
+#define ACC_TERM(A, i) ((A)->f.t + (i) * ((A)->r->nw + 1))
+
+static int acc_above(const void *ctx, ssize a, ssize b)
 {
-    const Merge *M = ctx;
-    return mcmp(M->s[a].head, M->s[b].head, M->r->nw) > 0;
+    const Acc *A = ctx;
+    return mcmp(ACC_TERM(A, a), ACC_TERM(A, b), A->r->nw) > 0;
 }
 
-/* Sets the head monomial of s from its term idx; OverflowError if it
-   does not fit. */
-static int stream_head(Stream *s, int nw)
+static inline ssize acc_probe(const Acc *A, const u64 *m)
 {
-    return mmul(s->head, s->t + s->idx * (nw + 1), s->q, nw);
+    u64 h = 0;
+    for (int w = 0; w < A->r->nw; w++)
+        h = (h ^ m[w]) * 0x9E3779B97F4A7C15ULL;
+    return (ssize)(h >> 32) & (2 * A->cap - 1);
 }
 
-/* Adds f * x^q * (terms idx.. of g); q NULL means 1. */
-static int merge_add(Merge *M, const Poly *g, ssize idx, const u64 *q,
-                     u64 f)
+/* Doubles the capacity and rehashes the terms. */
+static int acc_grow(Acc *A)
 {
-    int nw = M->r->nw;
-    Stream *s;
-    if (idx >= g->len) return 0;
-    if (M->nh == M->ns) {
-        if (M->ns == M->cap) {
-            ssize cap = M->cap ? 2 * M->cap : 16;
-            if (grow(&M->s, cap, sizeof *M->s) < 0
-                || grow(&M->heap, cap, sizeof *M->heap) < 0)
-                return -1;
-            M->cap = cap;
+    ssize cap = A->cap ? 2 * A->cap : 64, *table;
+    if (grow(&A->slot, cap, sizeof *A->slot) < 0
+        || grow(&A->heap, cap, sizeof *A->heap) < 0)
+        return -1;
+    if (!(table = calloc((size_t)(2 * cap), sizeof *table))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    free(A->table);
+    A->table = table;
+    A->cap = cap;
+    for (ssize i = 0; i < A->f.len; i++) {
+        ssize h = acc_probe(A, ACC_TERM(A, i));
+        while (table[h])
+            h = (h + 1) & (2 * cap - 1);
+        table[h] = i + 1;
+        A->slot[i] = h;
+    }
+    return 0;
+}
+
+/* Adds c * x^m. */
+static int acc_add(Acc *A, const u64 *m, u64 c)
+{
+    int nw = A->r->nw;
+    ssize h, i;
+    if (A->f.len == A->cap && acc_grow(A) < 0) return -1;
+    for (h = acc_probe(A, m); (i = A->table[h]) != 0;
+         h = (h + 1) & (2 * A->cap - 1)) {
+        u64 *t = ACC_TERM(A, i - 1);
+        if (mcmp(t, m, nw) == 0) {
+            t[nw] = (t[nw] + c) % A->r->p;
+            return 0;
         }
-        M->heap[M->ns] = M->ns;
-        M->ns++;
     }
-    s = &M->s[M->heap[M->nh]];
-    *s = (Stream){.t = g->t, .idx = idx, .len = g->len, .f = f};
-    if (q)
-        memcpy(s->q, q, nw * sizeof *q);
-    if (stream_head(s, nw) < 0) return -1;
-    sift_up(M->heap, M->nh++, stream_above, M);
+    if (poly_push(&A->f, nw, m, c) < 0) return -1;
+    A->slot[A->f.len - 1] = h;
+    A->table[h] = A->f.len;
+    A->heap[A->nh] = A->f.len - 1;
+    sift_up(A->heap, A->nh++, acc_above, A);
     return 0;
 }
 
-/* Pops the largest monomial with a nonzero summed coefficient into (m, c):
-   1 when found, 0 when the merge is empty, -1 on error. */
-static int merge_next(Merge *M, u64 *m, u64 *c)
+/* Adds f * x^q * (terms k.. of g); q NULL means 1.  OverflowError when a
+   product does not fit. */
+static int acc_addmul(Acc *A, const Poly *g, ssize k, const u64 *q, u64 f)
 {
-    int nw = M->r->nw;
-    while (M->nh) {
-        u64 acc = 0;
-        memcpy(m, M->s[M->heap[0]].head, nw * sizeof *m);
-        do {
-            Stream *s = &M->s[M->heap[0]];
-            acc = (acc + s->t[s->idx * (nw + 1) + nw] * s->f) % M->r->p;
-            if (++s->idx < s->len) {
-                if (stream_head(s, nw) < 0) return -1;
-            } else {                  /* retire s to the spare slots */
-                ssize done = M->heap[0];
-                M->heap[0] = M->heap[--M->nh];
-                M->heap[M->nh] = done;
-            }
-            sift_down(M->heap, M->nh, 0, stream_above, M);
-        } while (M->nh && mcmp(M->s[M->heap[0]].head, m, nw) == 0);
-        if ((*c = acc) != 0) return 1;
+    int nw = A->r->nw;
+    u64 m[MAXW];
+    for (; k < g->len; k++) {
+        const u64 *t = g->t + k * (nw + 1);
+        if ((q && mmul(m, t, q, nw) < 0)
+            || acc_add(A, q ? m : t, t[nw] * f % A->r->p) < 0)
+            return -1;
     }
     return 0;
 }
 
-/* Full normal form of the merge's contents modulo the monic reducers R,
+/* Pops the largest monomial with a nonzero coefficient into (m, c): 1
+   when found; 0 when the sum is drained, which empties A for the next. */
+static int acc_pop(Acc *A, u64 *m, u64 *c)
+{
+    int nw = A->r->nw;
+    while (A->nh) {
+        const u64 *t = ACC_TERM(A, A->heap[0]);
+        A->heap[0] = A->heap[--A->nh];
+        sift_down(A->heap, A->nh, 0, acc_above, A);
+        if ((*c = t[nw]) != 0) {
+            memcpy(m, t, nw * sizeof *m);
+            return 1;
+        }
+    }
+    for (ssize i = 0; i < A->f.len; i++)
+        A->table[A->slot[i]] = 0;
+    A->f.len = 0;
+    return 0;
+}
+
+static void acc_free(Acc *A)
+{
+    poly_free(&A->f);
+    free(A->slot);
+    free(A->table);
+    free(A->heap);
+}
+
+/* Full normal form of the accumulated sum modulo the monic reducers R,
    appended to out.  The divisor of each monomial is the first reducer
    whose leading monomial divides it, as in the pure kernel. */
-static int nf(Merge *M, const Set *R, Poly *out)
+static int nf(Acc *A, const Set *R, Poly *out)
 {
-    const Ring *r = M->r;
-    int nw = r->nw, got;
+    const Ring *r = A->r;
+    int nw = r->nw;
     u64 m[MAXW], q[MAXW], c, pops = 0;
-    while ((got = merge_next(M, m, &c)) > 0) {
+    while (acc_pop(A, m, &c)) {
         u64 mask = divmask(r, m);
         ssize k = 0;
         if (++pops % SIGNAL_POLL == 0 && PyErr_CheckSignals() < 0)
@@ -391,37 +436,13 @@ static int nf(Merge *M, const Set *R, Poly *out)
         }
         mdiv(q, m, R->v[k].g.t, nw);
         /* the head term cancels m exactly; add the negated tail */
-        if (merge_add(M, &R->v[k].g, 1, q, r->p - c) < 0)
+        if (acc_addmul(A, &R->v[k].g, 1, q, r->p - c) < 0)
             return -1;
     }
-    return got;
+    return 0;
 }
 
 /* -- the Python boundary -------------------------------------------------- */
-
-/* qsort context, set by sort_by_row: monomial rows with a stride.  The
-   interpreter lock is held through every kernel call, so sorts cannot
-   interleave. */
-static const u64 *sort_rows;
-static int sort_nw, sort_stride;
-
-/* Row indices, largest monomial first; equal rows, later index first. */
-static int by_row(const void *a, const void *b)
-{
-    ssize i = *(const ssize *)a, j = *(const ssize *)b;
-    int c = mcmp(sort_rows + j * sort_stride, sort_rows + i * sort_stride,
-                 sort_nw);
-    return c ? c : (i < j) - (i > j);
-}
-
-static void sort_by_row(ssize *ix, ssize n, const u64 *rows, int nw,
-                        int stride)
-{
-    sort_rows = rows;
-    sort_nw = nw;
-    sort_stride = stride;
-    qsort(ix, n, sizeof *ix, by_row);
-}
 
 static int coeff_mod(PyObject *obj, PyObject *pobj, u64 p, u64 *out)
 {
@@ -453,69 +474,54 @@ static int read_monomial(const Ring *r, PyObject *obj, u64 *m)
     return ok ? encode(r, e, m) : -1;
 }
 
-/* Term list -> canonical polynomial in out (empty on entry): reduced mod
-   p, zero terms dropped, and of repeated exponents the last one wins. */
-static int to_poly(const Ring *r, PyObject *pobj, PyObject *terms, Poly *out)
+/* Adds the map {exponents: coefficient} to A, coefficients mod p. */
+static int acc_read(Acc *A, PyObject *pobj, PyObject *map)
 {
-    int nw = r->nw, sorted = 1, rc = -1;
-    PyObject *seq = PySequence_Fast(terms, "a polynomial is a sequence of "
-                                    "(exponents, coefficient) pairs");
-    ssize n, *ix = NULL;
-    u64 *rows = NULL;
-    if (!seq) return -1;
-    n = PySequence_Fast_GET_SIZE(seq);
-    if (grow(&rows, n * (nw + 1) + 1, sizeof *rows) < 0
-        || grow(&ix, n + 1, sizeof *ix) < 0)
-        goto done;
-    for (ssize i = 0; i < n; i++) {
-        PyObject *pair = PySequence_Tuple(PySequence_Fast_GET_ITEM(seq, i));
-        PyObject *e, *coeff;
-        u64 *row = rows + i * (nw + 1);
-        int bad = !pair || !PyArg_UnpackTuple(pair, "term", 2, 2, &e, &coeff)
-                  || read_monomial(r, e, row) < 0
-                  || coeff_mod(coeff, pobj, r->p, row + nw) < 0;
-        Py_XDECREF(pair);
-        if (bad) goto done;
-        ix[i] = i;
-        if (i && mcmp(row - (nw + 1), row, nw) <= 0)
-            sorted = 0;
-    }
-    if (!sorted)
-        sort_by_row(ix, n, rows, nw, nw + 1);
-    for (ssize k = 0; k < n; k++) {
-        const u64 *row = rows + ix[k] * (nw + 1);
-        if (k && mcmp(rows + ix[k - 1] * (nw + 1), row, nw) == 0)
-            continue;         /* an earlier occurrence of the last term */
-        if (row[nw] && poly_push(out, nw, row, row[nw]) < 0) goto done;
-    }
-    rc = 0;
-done:
-    Py_DECREF(seq);
-    free(rows);
-    free(ix);
-    return rc;
+    PyObject *e, *coeff;
+    ssize pos = 0;
+    u64 m[MAXW], c;
+    if (!PyDict_Check(map))
+        return fail(PyExc_TypeError,
+                    "a polynomial must be a dict {exponents: coefficient}");
+    while (PyDict_Next(map, &pos, &e, &coeff))
+        if (read_monomial(A->r, e, m) < 0
+            || coeff_mod(coeff, pobj, A->r->p, &c) < 0 || acc_add(A, m, c) < 0)
+            return -1;
+    return 0;
 }
 
+/* The map as a canonical polynomial in out (empty on entry): sorted,
+   reduced mod p, zero terms dropped. */
+static int to_poly(Acc *A, PyObject *pobj, PyObject *map, Poly *out)
+{
+    u64 m[MAXW], c;
+    if (acc_read(A, pobj, map) < 0) return -1;
+    while (acc_pop(A, m, &c))
+        if (poly_push(out, A->r->nw, m, c) < 0) return -1;
+    return 0;
+}
+
+/* f as a new dict {exponents: coefficient}, largest monomial first. */
 static PyObject *to_terms(const Ring *r, const Poly *f)
 {
-    PyObject *out = PyList_New(f->len);
+    PyObject *out = PyDict_New();
     for (ssize i = 0; out && i < f->len; i++) {
         const u64 *row = f->t + i * (r->nw + 1);
         long e[MAX_VARS];
-        PyObject *t = PyTuple_New(r->n), *term;
+        PyObject *key = PyTuple_New(r->n);
+        PyObject *c = PyLong_FromUnsignedLongLong(row[r->nw]);
         exps(r, row, e);
-        for (int j = 0; t && j < r->n; j++) {
+        for (int j = 0; key && j < r->n; j++) {
             PyObject *v = PyLong_FromLong(e[j]);
             if (!v)
-                Py_CLEAR(t);
+                Py_CLEAR(key);
             else
-                PyTuple_SET_ITEM(t, j, v);
+                PyTuple_SET_ITEM(key, j, v);
         }
-        term = Py_BuildValue("(NK)", t, (unsigned long long)row[r->nw]);
-        if (!term)
+        if (!key || !c || PyDict_SetItem(out, key, c) < 0)
             Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, term);
+        Py_XDECREF(key);
+        Py_XDECREF(c);
     }
     return out;
 }
@@ -638,26 +644,24 @@ static int install(const Ring *r, Set *B, Pairs *P, Poly *d)
     return 1;
 }
 
-/* Minimalized, tail-reduced basis as term lists, largest leading
-   monomial first. */
-static PyObject *reduce_basis(const Ring *r, Set *B, Merge *M)
+/* Minimalized, tail-reduced basis as term maps, largest leading monomial
+   first. */
+static PyObject *reduce_basis(const Ring *r, Set *B, Acc *A)
 {
     ssize n = B->n, *ix = NULL;
     int nw = r->nw;
-    u64 *lms = NULL;
     Set K = {0};
     PyObject *out = NULL;
-    if (grow(&ix, n + 1, sizeof *ix) < 0
-        || grow(&lms, n * nw + 1, sizeof *lms) < 0)
-        goto done;
-    for (ssize i = 0; i < n; i++) {
-        memcpy(lms + i * nw, B->v[i].g.t, nw * sizeof *lms);
-        ix[i] = i;
+    if (grow(&ix, n + 1, sizeof *ix) < 0) goto done;
+    for (ssize i = 0; i < n; i++) {   /* ascending leading monomial */
+        ssize k = i;
+        for (; k && mcmp(B->v[ix[k - 1]].g.t, B->v[i].g.t, nw) > 0; k--)
+            ix[k] = ix[k - 1];
+        ix[k] = i;
     }
-    sort_by_row(ix, n, lms, nw, nw);
-    for (ssize k = n - 1; k >= 0; k--) {      /* ascending leading monomial */
+    for (ssize k = 0; k < n; k++) {
         ssize j = 0, i = ix[k];
-        while (j < K.n && !mdivides(K.v[j].g.t, lms + i * nw, nw))
+        while (j < K.n && !mdivides(K.v[j].g.t, B->v[i].g.t, nw))
             j++;
         if (j == K.n) {
             if (set_add(r, &K, B->v[i].g) < 0) goto done;
@@ -667,8 +671,8 @@ static PyObject *reduce_basis(const Ring *r, Set *B, Merge *M)
     for (ssize i = 0; i < K.n; i++) {     /* the leading term, then the */
         Poly red = {0};                   /* tail reduced modulo all of K */
         if (poly_push(&red, nw, K.v[i].g.t, 1) < 0
-            || merge_add(M, &K.v[i].g, 1, NULL, 1) < 0
-            || nf(M, &K, &red) < 0) {
+            || acc_addmul(A, &K.v[i].g, 1, NULL, 1) < 0
+            || nf(A, &K, &red) < 0) {
             poly_free(&red);
             goto done;
         }
@@ -685,7 +689,6 @@ static PyObject *reduce_basis(const Ring *r, Set *B, Merge *M)
     }
 done:
     free(ix);
-    free(lms);
     set_free(&K);
     return out;
 }
@@ -701,7 +704,7 @@ static PyObject *py_buchberger(PyObject *self, PyObject *args, PyObject *kw)
     Ring r;
     Set B = {0};
     Pairs P = {0};
-    Merge M = {.r = &r};
+    Acc A = {.r = &r};
     Poly d = {0};
     if (!PyArg_ParseTupleAndKeywords(args, kw, "OnOU|OO", names, &gens,
                                      &nvars, &pobj, &kind, &split, &budget)
@@ -715,7 +718,7 @@ static PyObject *py_buchberger(PyObject *self, PyObject *args, PyObject *kw)
     if (!(seq = PySequence_Fast(gens, "gens_terms must be a sequence")))
         goto done;
     for (ssize i = 0; !unit && i < PySequence_Fast_GET_SIZE(seq); i++) {
-        if (to_poly(&r, pobj, PySequence_Fast_GET_ITEM(seq, i), &d) < 0
+        if (to_poly(&A, pobj, PySequence_Fast_GET_ITEM(seq, i), &d) < 0
             || (d.len && (unit = install(&r, &B, &P, &d)) < 0))
             goto done;
         poly_free(&d);
@@ -737,11 +740,12 @@ static PyObject *py_buchberger(PyObject *self, PyObject *args, PyObject *kw)
         }
         pairs++;
         q = P.v[id];
+        /* the two lifted heads cancel at the lcm; add the tails */
         mdiv(s, q.l, B.v[q.i].g.t, r.nw);
-        if (merge_add(&M, &B.v[q.i].g, 0, s, 1) < 0) goto done;
+        if (acc_addmul(&A, &B.v[q.i].g, 1, s, 1) < 0) goto done;
         mdiv(s, q.l, B.v[q.j].g.t, r.nw);
-        if (merge_add(&M, &B.v[q.j].g, 0, s, r.p - 1) < 0
-            || nf(&M, &B, &d) < 0
+        if (acc_addmul(&A, &B.v[q.j].g, 1, s, r.p - 1) < 0
+            || nf(&A, &B, &d) < 0
             || (d.len && (unit = install(&r, &B, &P, &d)) < 0))
             goto done;
     }
@@ -751,15 +755,14 @@ static PyObject *py_buchberger(PyObject *self, PyObject *args, PyObject *kw)
         one[r.nw] = 1;
         basis = Py_BuildValue("[N]", to_terms(&r, &f));
     } else {
-        basis = reduce_basis(&r, &B, &M);
+        basis = reduce_basis(&r, &B, &A);
     }
 done:
     Py_XDECREF(seq);
     set_free(&B);
     free(P.v);
     free(P.heap);
-    free(M.s);
-    free(M.heap);
+    acc_free(&A);
     poly_free(&d);
     return basis ? Py_BuildValue("(Nn)", basis, pairs) : NULL;
 }
@@ -773,8 +776,8 @@ static PyObject *py_normal_form(PyObject *self, PyObject *args, PyObject *kw)
     ssize nvars;
     Ring r;
     Set R = {0};
-    Merge M = {.r = &r};
-    Poly f = {0}, d = {0};
+    Acc A = {.r = &r};
+    Poly d = {0};
     if (!PyArg_ParseTupleAndKeywords(args, kw, "OOnOU|O", names, &f_terms,
                                      &gens, &nvars, &pobj, &kind, &split)
         || ring_init(&r, nvars, pobj, kind, split) < 0)
@@ -782,22 +785,19 @@ static PyObject *py_normal_form(PyObject *self, PyObject *args, PyObject *kw)
     if (!(seq = PySequence_Fast(gens, "gens_terms must be a sequence")))
         goto done;
     for (ssize i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
-        if (to_poly(&r, pobj, PySequence_Fast_GET_ITEM(seq, i), &d) < 0
+        if (to_poly(&A, pobj, PySequence_Fast_GET_ITEM(seq, i), &d) < 0
             || (d.len && set_add(&r, &R, d) < 0))
             goto done;
         if (d.len)
             d = (Poly){0};    /* now owned by R */
     }
-    if (to_poly(&r, pobj, f_terms, &f) < 0
-        || merge_add(&M, &f, 0, NULL, 1) < 0 || nf(&M, &R, &d) < 0)
+    if (acc_read(&A, pobj, f_terms) < 0 || nf(&A, &R, &d) < 0)
         goto done;
     out = to_terms(&r, &d);
 done:
     Py_XDECREF(seq);
     set_free(&R);
-    free(M.s);
-    free(M.heap);
-    poly_free(&f);
+    acc_free(&A);
     poly_free(&d);
     return out;
 }

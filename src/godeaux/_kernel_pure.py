@@ -12,9 +12,10 @@ accelerates the untracked calls within fixed limits (variables, modulus,
 the call here, where any ring is taken and the width grows as needed
 (below).
 
-Boundary format: a polynomial is an iterable of ``(exponent_tuple,
-coeff)`` pairs in any order, with distinct exponents and coefficients in
-[1, p).  Outputs are lists sorted largest-monomial-first.
+Boundary format: a polynomial is a dict ``{exponent_tuple: coeff}``
+with coefficients in [1, p), in any order; anything else raises
+TypeError.  Input dicts are only read.  Each output is a new dict,
+largest monomial first.
 
 Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007): inside a call a
@@ -118,13 +119,15 @@ def _first_width(degree):
 
 def _packed(nvars, kind, split, polys, run):
     """``run(packing, packed_polys)`` at a fitting width; wider on overflow."""
-    degree = max((sum(e) for terms in polys for e, _ in terms), default=0)
+    if not all(isinstance(t, dict) for t in polys):
+        raise TypeError("a polynomial must be a dict {exponents: coefficient}")
+    degree = max((sum(e) for t in polys for e in t), default=0)
     width = _first_width(degree)
     while True:
         pk = _Packing(nvars, kind, split, width)
         enc = pk.enc
         try:
-            return run(pk, [{enc(e): c for e, c in t} for t in polys])
+            return run(pk, [{enc(e): c for e, c in t.items()} for t in polys])
         except _Overflow:
             width *= 2
 
@@ -394,7 +397,7 @@ def _buchberger(gens, p, pk, budget, track):
 
 def _to_terms(d, pk):
     dec = pk.dec
-    return [(dec(m), d[m]) for m in sorted(d, reverse=True)]
+    return {dec(m): d[m] for m in sorted(d, reverse=True)}
 
 
 def _reducers(gens, p):

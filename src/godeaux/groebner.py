@@ -6,7 +6,7 @@ ring-map kernels via graph ideals, and Jacobian smoothness certificates.
 The heavy loops run in a kernel backend, and ``_run_kernel`` is the one
 place that calls one: on the selected backend (compiled when available),
 or on the pure kernel for cofactor tracking.  It takes a ring's shape and
-term lists, so auxiliary systems need no ring of their own.  A call past
+term maps, so auxiliary systems need no ring of their own.  A call past
 the compiled kernel's limits raises OverflowError there and reruns on the
 pure kernel, whose results are byte-identical by construction.
 """
@@ -43,10 +43,6 @@ def _common_ring(polys: Sequence[Polynomial]) -> PolyRing:
     return ring
 
 
-def _from_terms(ring: PolyRing, terms) -> Polynomial:
-    return Polynomial._raw(ring, dict(terms))
-
-
 def _run_kernel(nvars: int, p: int, order: MonomialOrder,
                 backend_name: str | None, fn: str, *args, **kwargs):
     """``fn(*args, nvars, p, order.kind, split=order.split, **kwargs)`` on
@@ -55,8 +51,9 @@ def _run_kernel(nvars: int, p: int, order: MonomialOrder,
     Returns ``(result, backend name)``.  The compiled kernel raises
     OverflowError for a ring past its static limits, or when a monomial
     outgrows its fields, at the inputs or mid-run; the call then reruns
-    on the pure kernel.  Term lists of ``(exponents, coefficient in
-    1..p-1)`` go in in any order and come back largest monomial first.
+    on the pure kernel.  A polynomial crosses as its term map
+    ``{exponents: coefficient in 1..p-1}``, such as ``Polynomial._terms``;
+    maps come back new, largest monomial first.
     """
     def call(kern):
         return (getattr(kern, fn)(*args, nvars, p, order.kind,
@@ -196,12 +193,12 @@ def reduce(f: Polynomial, reducers, backend_name: str | None = None) -> Polynomi
     """Full normal form of f against the reducers, in their given order."""
     polys = _reducer_polys(reducers)
     ring = _common_ring([f] + polys) if polys else f.ring
-    live = [g._terms.items() for g in polys if g._terms]
+    live = [g._terms for g in polys if g._terms]
     if f.is_zero() or not live:
         return f
     out, _ = _run_kernel(ring.nvars, ring.p, ring.order, backend_name,
-                         "normal_form", f._terms.items(), live)
-    return _from_terms(ring, out)
+                         "normal_form", f._terms, live)
+    return Polynomial._raw(ring, out)
 
 
 def reduce_tracked(f: Polynomial, reducers) -> tuple[Polynomial, tuple[Polynomial, ...]]:
@@ -210,10 +207,10 @@ def reduce_tracked(f: Polynomial, reducers) -> tuple[Polynomial, tuple[Polynomia
     polys = _reducer_polys(reducers)
     ring = _common_ring([f] + polys) if polys else f.ring
     (r, quots), _ = _run_kernel(ring.nvars, ring.p, ring.order, "pure",
-                                "normal_form_tracked", f._terms.items(),
-                                [g._terms.items() for g in polys])
-    return (_from_terms(ring, r),
-            tuple(_from_terms(ring, q) for q in quots))
+                                "normal_form_tracked", f._terms,
+                                [g._terms for g in polys])
+    return (Polynomial._raw(ring, r),
+            tuple(Polynomial._raw(ring, q) for q in quots))
 
 
 def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
@@ -224,11 +221,11 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
     pass ``budget=None`` to run unbounded.
     """
     ring = _common_ring(list(gens))
-    live = [g._terms.items() for g in gens if g._terms]
+    live = [g._terms for g in gens if g._terms]
     (basis_terms, pairs), name = _run_kernel(
         ring.nvars, ring.p, ring.order, backend_name, "buchberger", live,
         budget=budget)
-    polys = tuple(_from_terms(ring, t) for t in basis_terms)
+    polys = tuple(Polynomial._raw(ring, t) for t in basis_terms)
     return GroebnerBasis(ring=ring, polynomials=polys, pairs_processed=pairs,
                          backend=name)
 
@@ -237,14 +234,14 @@ def _buchberger_tracked(gens: Sequence[Polynomial], budget: int | None):
     """Pure-kernel Buchberger with cofactors over the original generators.
 
     Returns ``(basis, reps, pairs)`` as in
-    ``_kernel_pure.buchberger_tracked``, with polynomials for term lists.
+    ``_kernel_pure.buchberger_tracked``: the basis as polynomials, the
+    cofactor rows as term maps.
     """
     ring = _common_ring(list(gens))
     (basis, reps, pairs, _), _ = _run_kernel(
         ring.nvars, ring.p, ring.order, "pure", "buchberger_tracked",
-        [g._terms.items() for g in gens], budget=budget)
-    return ([_from_terms(ring, t) for t in basis],
-            [[_from_terms(ring, r) for r in rep] for rep in reps], pairs)
+        [g._terms for g in gens], budget=budget)
+    return [Polynomial._raw(ring, t) for t in basis], reps, pairs
 
 
 def ideal_member(f: Polynomial, gens, budget: int | None = DEFAULT_BUDGET,
@@ -272,7 +269,7 @@ def ideal_member(f: Polynomial, gens, budget: int | None = DEFAULT_BUDGET,
     sums = [{} for _ in gens]  # cofactor k = sum_j quots[j] * reps[j][k]
     for q, rep in zip(quots, reps):
         for s, g in zip(sums, rep):
-            add_product(s, q._terms, g._terms)
+            add_product(s, q._terms, g)
     cofactors = tuple(Polynomial._from_sums(f.ring, s) for s in sums)
     wit = CombinationWitness(target=f, generators=tuple(gens),
                              cofactors=cofactors, remainder=r)
@@ -288,13 +285,12 @@ def radical_member(f: Polynomial, gens: Sequence[Polynomial],
     ring = _common_ring([f] + gens)
     n, p = ring.nvars, ring.p
     one = (0,) * (n + 1)
-    system = [[(e + (0,), c) for e, c in g._terms.items()]
+    system = [{e + (0,): c for e, c in g._terms.items()}
               for g in gens if g._terms]
-    system.append([(one, 1)] + [(e + (1,), p - c)
-                                for e, c in f._terms.items()])
+    system.append({one: 1, **{e + (1,): p - c for e, c in f._terms.items()}})
     (basis, _), _ = _run_kernel(n + 1, p, DEGREVLEX, backend_name,
                                 "buchberger", system, budget=budget)
-    return len(basis) == 1 and list(basis[0]) == [(one, 1)]
+    return basis[0] == {one: 1}
 
 
 # -- elimination and ring-map kernels ------------------------------------------
@@ -318,7 +314,7 @@ def eliminate(gens: Sequence[Polynomial], drop, budget: int | None = DEFAULT_BUD
         raise ValueError("cannot eliminate every variable")
     keep_idx = [i for i in range(ring.nvars) if i not in drop_idx]
     perm = operator.itemgetter(*(drop_idx + keep_idx))
-    system = [[(perm(e), c) for e, c in g._terms.items()]
+    system = [{perm(e): c for e, c in g._terms.items()}
               for g in gens if g._terms]
     kept, _, _ = _eliminate(system, ring.nvars, ring.p, len(drop_idx),
                             budget, backend_name)
@@ -329,13 +325,15 @@ def eliminate(gens: Sequence[Polynomial], drop, budget: int | None = DEFAULT_BUD
 def _eliminate(system: list, nvars: int, p: int, nd: int, budget: int | None,
                backend_name: str | None) -> tuple[list[dict], int, str]:
     """``(kept, pairs, backend)``: kept are the elements of the block-order
-    basis of ``system`` (term lists, the ``nd`` dropped variables first)
-    free of those variables, as term dicts over the rest, in basis order."""
+    basis of ``system`` (term maps, the ``nd`` dropped variables first)
+    free of those variables, as term maps over the rest, in basis order.
+    An element whose leading monomial is free of them is free of them
+    throughout: that is the elimination property of the block order."""
     (basis, pairs), name = _run_kernel(nvars, p, block_order(nd),
                                        backend_name, "buchberger", system,
                                        budget=budget)
-    kept = [{e[nd:]: c for e, c in t} for t in basis
-            if not any(any(e[:nd]) for e, _ in t)]
+    kept = [{e[nd:]: c for e, c in t.items()} for t in basis
+            if not any(next(iter(t))[:nd])]
     return kept, pairs, name
 
 
@@ -395,7 +393,7 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
                     seed: bool = True) -> KernelPresentation:
     """Kernel of the ring map sending each source variable to its image.
 
-    Builds the graph ideal (source_var - image) as term lists over the
+    Builds the graph ideal (source_var - image) as term maps over the
     target variables followed by the source ones, then eliminates the
     target variables as ``eliminate`` does.  Frobenius-power seeds (see ``_frobenius_seeds``) are added to
     the same ideal when available; they change nothing about the ideal
@@ -416,12 +414,12 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
 
     nt, ns = target_ring.nvars, source_ring.nvars
     p, zt, zs = target_ring.p, (0,) * nt, (0,) * ns
-    graph = []  # source_var_i - image_i, target exponents first
-    for i, g in enumerate(images):
-        graph.append([(zt + zs[:i] + (1,) + zs[i + 1:], 1)]
-                     + [(e + zs, p - c) for e, c in g._terms.items()])
+    # source_var_i - image_i, target exponents first
+    graph = [{zt + zs[:i] + (1,) + zs[i + 1:]: 1,
+              **{e + zs: p - c for e, c in g._terms.items()}}
+             for i, g in enumerate(images)]
     seeds = _frobenius_seeds(source_ring, target_ring, images) if seed else []
-    graph.extend([(zt + e, c) for e, c in g._terms.items()] for g in seeds)
+    graph.extend({zt + e: c for e, c in g._terms.items()} for g in seeds)
 
     kept, pairs, name = _eliminate(graph, nt + ns, p, nt, budget, backend_name)
     out = [Polynomial._raw(source_ring, t) for t in kept]
@@ -486,8 +484,9 @@ def _unit_witness(system: Sequence[Polynomial],
     ring = system[0].ring
     if basis != [ring.one()]:
         return None, pairs
+    cofactors = tuple(Polynomial._raw(ring, r) for r in reps[0])
     wit = CombinationWitness(target=ring.one(), generators=tuple(system),
-                             cofactors=tuple(reps[0]), remainder=ring.zero())
+                             cofactors=cofactors, remainder=ring.zero())
     return wit, pairs
 
 

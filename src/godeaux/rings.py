@@ -164,24 +164,18 @@ class PolyRing:
         return Polynomial(self, {tuple(exps): coeff})
 
     def from_terms(self, terms: Mapping[tuple, int] | Iterable) -> "Polynomial":
+        """A map, or ``(exponents, coefficient)`` pairs whose repeated
+        exponents are summed, as ``parse_poly`` sums repeated monomials."""
         if not isinstance(terms, Mapping):
-            terms = dict(terms)
+            sums = {}
+            for exps, c in terms:
+                exps = tuple(exps)
+                sums[exps] = sums.get(exps, 0) + c
+            terms = sums
         return Polynomial(self, terms)
 
     def parse(self, text: str) -> "Polynomial":
         return parse_poly(self, text)
-
-    def poly(self, obj) -> "Polynomial":
-        """Coerce an int, str, or Polynomial into this ring."""
-        if isinstance(obj, Polynomial):
-            if obj.ring != self:
-                raise ContextError("polynomial belongs to a different ring")
-            return obj
-        if isinstance(obj, int):
-            return self.constant(obj)
-        if isinstance(obj, str):
-            return self.parse(obj)
-        raise TypeError(f"cannot coerce {type(obj).__name__} to a polynomial")
 
     # -- derived rings --------------------------------------------------------
 

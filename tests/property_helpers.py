@@ -194,19 +194,21 @@ def _kernel_outcome(fn, *args, **kwargs):
 
 
 def _term_order_failures(kern, gens, f, kind, shuffler):
-    """Labels of ``kern``'s calls whose output changes when each input
-    term list is shuffled instead of sorted largest-monomial-first."""
+    """Labels of ``kern``'s calls whose output changes when the keys of
+    each input term map come shuffled instead of largest-monomial-first."""
     ring = gens[0].ring
     split = 1 if kind == "block" else None
 
-    def term_lists(arrange):
-        lists = [list(g.terms().items()) for g in [f] + gens]
-        for t in lists:
-            arrange(t)
-        return lists
+    def term_maps(arrange):
+        maps = []
+        for g in [f] + gens:
+            items = list(g.terms().items())
+            arrange(items)
+            maps.append(dict(items))
+        return maps
 
-    inputs = (term_lists(lambda t: t.sort(key=lambda term: ring.sort_key(
-        term[0]), reverse=True)), term_lists(shuffler.shuffle))
+    inputs = (term_maps(lambda t: t.sort(key=lambda term: ring.sort_key(
+        term[0]), reverse=True)), term_maps(shuffler.shuffle))
     calls = [("buchberger", dict(budget=2000)), ("normal_form", {})]
     if kern is _kernel_pure:
         calls += [("buchberger_tracked", dict(budget=2000)),
@@ -291,7 +293,7 @@ def tracked_mirror(n: int = 150):
             ring, max_terms, max_degree = _R3, 4, 3
         gens = [_random_poly(rng, ring, max_terms, max_degree)
                 for _ in range(rng.randrange(2, 5))]
-        args = ([g.items_sorted() for g in gens], ring.nvars, ring.p,
+        args = ([g.terms() for g in gens], ring.nvars, ring.p,
                 ring.order.kind)
         budget = 2 if i % 4 == 0 else 2000
         try:
@@ -304,14 +306,14 @@ def tracked_mirror(n: int = 150):
             tracked = (basis, pairs)
         except BudgetExceeded as exc:
             reps, tracked = [], ("budget", exc.pairs_processed, exc.basis_size)
-        if tracked != plain:
+        if repr(tracked) != repr(plain):  # repr: key order counts too
             failures.append(f"case {i}: tracked and plain outcomes differ")
             continue
         for b, rep in zip(tracked[0], reps):
             acc = ring.zero()
             for r, g in zip(rep, gens):
-                acc = acc + ring.from_terms(dict(r)) * g
-            if acc != ring.from_terms(dict(b)):
+                acc = acc + ring.from_terms(r) * g
+            if acc != ring.from_terms(b):
                 failures.append(f"case {i}: cofactors do not expand back")
     return n, failures[:5]
 
@@ -408,6 +410,18 @@ def _boundary_cases(rng: random.Random, limit: int):
             yield f"p={p} random", gens, None, _random_poly(rng, ring, 4, 3)
 
 
+def _shuffled(rng: random.Random, g: Polynomial) -> Polynomial:
+    """g with the keys of its term map in shuffled order."""
+    items = list(g._terms.items())
+    rng.shuffle(items)
+    return Polynomial._raw(g.ring, dict(items))
+
+
+def _listed(polys) -> list:
+    """The term maps of ``polys`` as lists, so that key order counts."""
+    return [list(g._terms.items()) for g in polys]
+
+
 def boundary_mirror():
     """The kernels at the compiled kernel's limits, under
     ``GODEAUX_BACKEND=auto``: lex and block towers whose degrees outgrow
@@ -415,10 +429,13 @@ def boundary_mirror():
     degree ``MAX_FIELD`` and ``MAX_FIELD + 1``, 16 and 17 variables, and
     moduli just below and above 2^31.  Each basis and pair count, and one
     normal form, must equal the pure kernel's, and the basis must be the
-    hand-known one where there is one."""
+    hand-known one where there is one.  The same calls on term maps whose
+    keys come in shuffled order must give the same maps, key order
+    included, on the same backend."""
     if "compiled" not in available_backends():
         return 0, ["compiled backend unavailable"]
     rng = random.Random(1111)
+    shuffler = random.Random(11110)  # apart, so the cases stay as they were
     failures = []
     cases = 0
     saved = os.environ.get("GODEAUX_BACKEND")
@@ -430,11 +447,20 @@ def boundary_mirror():
             try:
                 auto = buchberger(gens, budget=None)
                 pure = buchberger(gens, budget=None, backend_name="pure")
-                same_nf = reduce(f, gens) == reduce(f, gens,
-                                                    backend_name="pure")
+                nf = reduce(f, gens)
+                same_nf = nf == reduce(f, gens, backend_name="pure")
+                mixed = [_shuffled(shuffler, g) for g in gens]
+                mixed_gb = buchberger(mixed, budget=None)
+                mixed_nf = reduce(_shuffled(shuffler, f), mixed)
             except Exception as exc:  # a crash fails this case only
                 failures.append(f"{label}: {type(exc).__name__}: {exc}")
                 continue
+            if ((_listed(mixed_gb), mixed_gb.pairs_processed,
+                 mixed_gb.backend) != (_listed(auto), auto.pairs_processed,
+                                       auto.backend)
+                    or _listed([mixed_nf]) != _listed([nf])):
+                failures.append(f"{label}: shuffled term maps answer "
+                                "differently")
             if ((auto.polynomials, auto.pairs_processed)
                     != (pure.polynomials, pure.pairs_processed)):
                 failures.append(f"{label}: auto and pure bases differ")
@@ -838,7 +864,7 @@ def groebner_fastpath_oracle(n: int = 240):
 
     def spy(nvars, p, order, backend_name, fn, *args, **kwargs):
         out = real(nvars, p, order, backend_name, fn, *args, **kwargs)
-        calls.append((nvars, p, order, fn, out))
+        calls.append((nvars, p, order, fn, repr(out)))  # key order counts
         return out
 
     def run(fn, *args):

@@ -85,11 +85,11 @@ class TestBuchberger:
 
     def test_tracked_unit_from_constant_input(self):
         # 3 * 2 = 1 mod 5: the constant generator alone carries the unit
-        gens = [p2("x").items_sorted(), [], p2("3").items_sorted()]
-        unit = [[], [], [((0, 0), 2)]]
+        gens = [p2("x").terms(), {}, p2("3").terms()]
+        unit = [{}, {}, {(0, 0): 2}]
         args = (gens, 2, 5, "degrevlex")
         assert _kernel_pure.buchberger_tracked(*args) == \
-            ([[((0, 0), 1)]], [unit], 0, None)
+            ([{(0, 0): 1}], [unit], 0, None)
 
 
 class TestReduction:
@@ -153,7 +153,7 @@ class TestBackendRouting:
             gens = [x ** degree - 1, x ** 2 - 1]
             if name == "pure":
                 with pytest.raises(OverflowError):
-                    compiled.buchberger([g.items_sorted() for g in gens],
+                    compiled.buchberger([g.terms() for g in gens],
                                         2, 5, "degrevlex")
             gb = buchberger(gens)
             assert gb.backend == name
@@ -177,7 +177,7 @@ class TestBackendRouting:
         ring = PolyRing(("x", "y", "z"), 5, LEX)
         gens = [parse_poly(ring, t)
                 for t in ("x - y^256", "y - z^256", "x - 1")]
-        terms = [g.items_sorted() for g in gens]
+        terms = [g.terms() for g in gens]
         with pytest.raises(OverflowError):
             compiled.buchberger(terms, 3, 5, "lex")
         gb = buchberger(gens)
@@ -186,7 +186,7 @@ class TestBackendRouting:
                             for t in ("x - 1", "y - z^256", "z^65536 - 1")]
         x = parse_poly(ring, "x")
         with pytest.raises(OverflowError):
-            compiled.normal_form(x.items_sorted(), terms[:2], 3, 5, "lex")
+            compiled.normal_form(x.terms(), terms[:2], 3, 5, "lex")
         assert reduce(x, gens[:2]) == parse_poly(ring, "z^65536") \
             == reduce(x, gens[:2], backend_name="pure")
 
@@ -202,7 +202,7 @@ class TestBackendRouting:
         xs = ring.gens()
         gens = [xs[0] ** 2 - xs[-1], xs[-1] ** 2 + ring.constant(3),
                 xs[0] * xs[1] - 1]
-        terms = [list(g.terms().items()) for g in gens]
+        terms = [g.terms() for g in gens]
         with pytest.raises(OverflowError):
             compiled.buchberger(terms, nvars, p, "degrevlex")
         with pytest.raises(OverflowError):
@@ -270,6 +270,87 @@ class TestBackendRouting:
         assert ideal_member(g, gens, backend_name="pure") is True
 
 
+MAP_ONLY = "a polynomial must be a dict {exponents: coefficient}"
+
+
+@pytest.mark.parametrize("name", ["pure", "compiled"])
+class TestKernelBoundary:
+    """Both kernels take each polynomial as a term map ``{exponents:
+    coefficient}`` and nothing else, leave their input maps as they were,
+    and return new maps, largest monomial first."""
+
+    RING = PolyRing(("x", "y", "z"), 5, block_order(1))
+    GENS = ("x^2 + 2*y*z + 3", "4*x*y - z^2", "2*y^3 + x")
+    F = "x^3*y + 3*y^2*z^2 + z + 1"
+
+    def maps(self):
+        """The generators and f as maps whose keys run smallest first."""
+        key = self.RING.sort_key
+        return [dict(sorted(parse_poly(self.RING, t).terms().items(),
+                            key=lambda term: key(term[0])))
+                for t in self.GENS + (self.F,)]
+
+    def calls(self, name, gens, f):
+        """``(label, result)`` of every entry point of the named kernel."""
+        kern = backend.get(name)
+        shape = (3, 5, "block")
+        out = [("buchberger", kern.buchberger(gens, *shape, split=1)),
+               ("normal_form", kern.normal_form(f, gens, *shape, split=1))]
+        if kern is _kernel_pure:
+            out += [("buchberger_tracked",
+                     kern.buchberger_tracked(gens, *shape, split=1)),
+                     ("normal_form_tracked",
+                      kern.normal_form_tracked(f, gens, *shape, split=1))]
+        return out
+
+    def test_pair_lists_are_refused(self, name):
+        *gens, f = self.maps()
+        pairs = [list(g.items()) for g in gens]
+        kern = backend.get(name)
+        for call in (lambda: kern.buchberger(pairs, 3, 5, "block", split=1),
+                     lambda: kern.normal_form(f, pairs, 3, 5, "block",
+                                              split=1),
+                     lambda: kern.normal_form(list(f.items()), gens, 3, 5,
+                                              "block", split=1)):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == MAP_ONLY
+
+    def test_input_maps_are_not_mutated(self, name):
+        *gens, f = self.maps()
+        before = [list(t.items()) for t in gens + [f]]
+        self.calls(name, gens, f)
+        assert [list(t.items()) for t in gens + [f]] == before
+
+    def test_outputs_are_new_maps_largest_first(self, name):
+        *gens, f = self.maps()
+        key = self.RING.sort_key
+        found = []
+        for label, result in self.calls(name, gens, f):
+            if label == "buchberger":
+                found += result[0]
+            elif label == "normal_form":
+                found.append(result)
+            elif label == "buchberger_tracked":
+                found += result[0] + [r for rep in result[1] for r in rep]
+            else:
+                found += [result[0]] + result[1]
+        assert all(type(t) is dict for t in found)
+        assert sum(map(len, found)) > 20
+        assert not any(t is g for t in found for g in gens + [f])
+        for t in found:
+            keys = [key(e) for e in t]
+            assert keys == sorted(keys, reverse=True)
+
+
+def test_compiled_kernel_reads_inputs_canonically():
+    # Coefficients are reduced mod p and zero terms dropped, in any order.
+    compiled = backend.get("compiled")
+    f = {(0, 0): -1, (0, 1): 10, (1, 0): 7, (2, 0): 5}
+    assert list(compiled.normal_form(f, [], 2, 5, "degrevlex").items()) == \
+        [((1, 0), 2), ((0, 0), 4)]
+
+
 ORDERS = [LEX, DEGREVLEX, block_order(2)]
 
 
@@ -283,7 +364,7 @@ def _pure_kernel_outcome(gens):
     """
     ring = gens[0].ring
     kind, split = ring.order.kind, ring.order.split
-    terms = [g.items_sorted() for g in gens]
+    terms = [g.terms() for g in gens]
     basis, pairs = _kernel_pure.buchberger(terms, ring.nvars, ring.p, kind,
                                            split=split)
     tracked, reps, tracked_pairs, _ = _kernel_pure.buchberger_tracked(
@@ -291,19 +372,19 @@ def _pure_kernel_outcome(gens):
     assert (tracked, tracked_pairs) == (basis, pairs)
     for t in terms:
         assert _kernel_pure.normal_form(t, basis, ring.nvars, ring.p, kind,
-                                        split=split) == []
-    polys = [ring.from_terms(dict(b)) for b in basis]
+                                        split=split) == {}
+    polys = [ring.from_terms(b) for b in basis]
     for b, rep in zip(polys, reps):
         acc = ring.zero()
         for r, g in zip(rep, gens):
-            acc = acc + ring.from_terms(dict(r)) * g
+            acc = acc + ring.from_terms(r) * g
         assert acc == b
     f = gens[0] * gens[-1] + ring.gens()[-1] ** 3 + ring.one()
     r, quots = _kernel_pure.normal_form_tracked(
-        f.items_sorted(), basis, ring.nvars, ring.p, kind, split=split)
-    acc = ring.from_terms(dict(r))
+        f.terms(), basis, ring.nvars, ring.p, kind, split=split)
+    acc = ring.from_terms(r)
     for q, b in zip(quots, polys):
-        acc = acc + ring.from_terms(dict(q)) * b
+        acc = acc + ring.from_terms(q) * b
     assert acc == f
     return polys, pairs
 
@@ -381,9 +462,9 @@ def test_wide_lex_exponent_reruns_wider(monkeypatch):
                      ("x - z^64", "y - z^8", "z^256 - 1")]
     assert widths[:2] == [8, 16]
     del widths[:]
-    x4 = parse_poly(ring, "x^4").items_sorted()
-    assert _kernel_pure.normal_form(x4, [g.items_sorted() for g in gens[:2]],
-                                    3, 5, "lex") == [((0, 0, 256), 1)]
+    x4 = parse_poly(ring, "x^4").terms()
+    assert _kernel_pure.normal_form(x4, [g.terms() for g in gens[:2]],
+                                    3, 5, "lex") == {(0, 0, 256): 1}
     assert widths == [8, 16]
 
 
@@ -672,8 +753,7 @@ signal.signal(signal.SIGALRM, on_alarm)
 signal.setitimer(signal.ITIMER_REAL, 0.5)
 start = time.perf_counter()
 try:
-    kernel.buchberger([list(g.terms().items()) for g in gens], 4, 7, "lex",
-                      budget=None)
+    kernel.buchberger([g.terms() for g in gens], 4, 7, "lex", budget=None)
 except Alarm:
     print(time.perf_counter() - start)
 else:

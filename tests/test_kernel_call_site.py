@@ -5,7 +5,9 @@ kernel) holds only for calls that pass through it.  This test parses the
 package and fails on any other way into a kernel: a kernel module
 imported outside ``backend``, ``backend.get`` or a dynamic ``getattr``
 call outside ``_run_kernel``, or a kernel entry point (``buchberger*``,
-``normal_form*``) called as an attribute.
+``normal_form*``) called as an attribute.  Polynomials cross as their
+term maps, so an ``.items()`` call among the arguments of a
+``_run_kernel`` call, a second format of pairs, is refused too.
 """
 
 import ast
@@ -41,6 +43,10 @@ def violations(source: str, filename: str) -> list[str]:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) == "_run_kernel":
+            if any(isinstance(n, ast.Call) and getattr(n.func, "attr", None)
+                   == "items" for n in ast.walk(node)):
+                out.append(f"{where} passes .items() pairs to _run_kernel")
         if isinstance(func, ast.Attribute):
             if func.attr.startswith(ENTRY_POINTS):
                 out.append(f"{where} calls {func.attr} on a module")
@@ -78,7 +84,13 @@ def test_run_kernel_is_where_the_guard_looks():
     ("import godeaux._kernel_pure as k\n", "cli.py"),
     ("def f(kern, t):\n    return getattr(kern, 'buchberger')(t)\n",
      "groebner.py"),
+    ("def f(g, o):\n    return _run_kernel(2, 5, o, None, 'buchberger',\n"
+     "                       [list(g._terms.items())])\n", "groebner.py"),
+    ("def f(g, o):\n    return groebner._run_kernel(\n"
+     "        2, 5, o, None, 'normal_form', g._terms.items(), [])\n",
+     "suite.py"),
 ], ids=["backend-get-elsewhere", "from-import", "module-import",
-        "plain-import", "getattr-elsewhere"])
+        "plain-import", "getattr-elsewhere", "items-pairs",
+        "items-pairs-elsewhere"])
 def test_guard_refuses_a_second_path(source, filename):
     assert violations(source, filename)

@@ -41,6 +41,15 @@ class TestCanonicalization:
         f = R.from_terms({(1, 0, 0): -1})
         assert f.coefficient((1, 0, 0)) == 4
 
+    def test_repeated_exponents_in_pairs_are_summed(self):
+        # over F_2, x + x is 0, as parse_poly reads it
+        f2 = PolyRing(("x", "y"), 2, DEGREVLEX)
+        assert f2.from_terms([((1, 0), 1), ((1, 0), 1)]).is_zero()
+        assert f2.from_terms([((1, 0), 1), ((1, 0), 1)]) == \
+            parse_poly(f2, "x + x")
+        assert R.from_terms([([1, 0, 0], 3), ((1, 0, 0), 4), ((0, 1, 0), 1)]) \
+            == parse_poly(R, "2*x + y")
+
     @pytest.mark.parametrize("exps", [("a", 0, 0), (1.5, 0, 0), (-1, 0, 0)])
     def test_bad_exponent_rejected(self, exps):
         with pytest.raises(ValueError, match="non-negative integers"):
