@@ -13,9 +13,10 @@ the call here, where any ring is taken and the width grows as needed
 (below).
 
 Boundary format: a polynomial is a dict ``{exponent_tuple: coeff}``
-with coefficients in [1, p), in any order; anything else raises
-TypeError.  Input dicts are only read.  Each output is a new dict,
-largest monomial first.
+in any order; anything else raises TypeError.  As in the compiled
+kernel, an exponent tuple needs ``nvars`` non-negative entries (else
+ValueError), and coefficients are reduced mod p, zeros dropped.  Input
+dicts are only read.  Each output is a new dict, largest monomial first.
 
 Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007): inside a call a
@@ -117,10 +118,15 @@ def _first_width(degree):
     return max(8, 2 * degree.bit_length())
 
 
-def _packed(nvars, kind, split, polys, run):
-    """``run(packing, packed_polys)`` at a fitting width; wider on overflow."""
+def _packed(nvars, p, kind, split, polys, run):
+    """``run(packing, packed_polys)`` at a fitting width; wider on overflow.
+    ``polys`` is read once, so it may be any iterable of maps."""
+    polys = list(polys)
     if not all(isinstance(t, dict) for t in polys):
         raise TypeError("a polynomial must be a dict {exponents: coefficient}")
+    if any(len(e) != nvars or min(e, default=0) < 0 for t in polys for e in t):
+        raise ValueError("expected nvars non-negative exponents")
+    polys = [{e: r for e, c in t.items() if (r := c % p)} for t in polys]
     degree = max((sum(e) for t in polys for e in t), default=0)
     width = _first_width(degree)
     while True:
@@ -419,7 +425,7 @@ def normal_form(f_terms, gens_terms, nvars, p, kind, split=None):
         f, *gens = polys
         reducers, _ = _reducers(gens, p)
         return _to_terms(_nf(f, reducers, p, pk.guard, {}), pk)
-    return _packed(nvars, kind, split, [f_terms, *gens_terms], run)
+    return _packed(nvars, p, kind, split, [f_terms, *gens_terms], run)
 
 
 def buchberger(gens_terms, nvars, p, kind, split=None, budget=None):
@@ -427,7 +433,7 @@ def buchberger(gens_terms, nvars, p, kind, split=None, budget=None):
     def run(pk, gens):
         basis, _, pairs = _buchberger(gens, p, pk, budget, False)
         return [_to_terms(d, pk) for d in basis], pairs
-    return _packed(nvars, kind, split, gens_terms, run)
+    return _packed(nvars, p, kind, split, gens_terms, run)
 
 
 def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
@@ -442,7 +448,7 @@ def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
             owner, inv = owners[k]
             quots[owner][q] = c * inv % p
         return _to_terms(r, pk), [_to_terms(q, pk) for q in quots]
-    return _packed(nvars, kind, split, [f_terms, *gens_terms], run)
+    return _packed(nvars, p, kind, split, [f_terms, *gens_terms], run)
 
 
 def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None):
@@ -457,4 +463,4 @@ def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None):
         basis, reps, pairs = _buchberger(gens, p, pk, budget, True)
         return ([_to_terms(d, pk) for d in basis],
                 [[_to_terms(r, pk) for r in rep] for rep in reps], pairs, None)
-    return _packed(nvars, kind, split, gens_terms, run)
+    return _packed(nvars, p, kind, split, gens_terms, run)

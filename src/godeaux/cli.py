@@ -18,7 +18,7 @@ from pathlib import Path
 from . import numerics
 from .derivations import graded_kernel, parse_derivation
 from .errors import BudgetExceeded, EngineError
-from .fixtures import load_fixtures
+from .fixtures import keyvals, load_fixtures, strip_lines
 from .groebner import DEFAULT_BUDGET, buchberger
 from .rings import DEGREVLEX, LEX, PolyRing, is_prime, parse_poly
 from .suite import (BUDGET_EXCEEDED, CHECK_IDS, DEFAULT_SEED, PASS,
@@ -143,19 +143,11 @@ def _order_for(name: str):
 
 
 def _split_input(text: str) -> tuple[dict, list[str]]:
-    """Separate `key = value` header lines from payload lines."""
-    meta = {}
-    body = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line and "->" not in line:
-            key, value = line.split("=", 1)
-            meta[key.strip()] = value.strip()
-        else:
-            body.append(line)
-    return meta, body
+    """Split `key = value` header lines (`=`, no `->`) from payload lines."""
+    meta, body = [], []
+    for line in strip_lines(text):
+        (meta if "=" in line and "->" not in line else body).append(line)
+    return keyvals(meta), body
 
 
 def _natural_key(name: str):

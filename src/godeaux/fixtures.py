@@ -35,7 +35,8 @@ def _read(name: str, overrides: dict[str, str] | None) -> str:
     return (DATA_DIR / name).read_text()
 
 
-def _strip_lines(text: str) -> list[str]:
+def strip_lines(text: str) -> list[str]:
+    """The nonblank lines of ``text``, ``#`` comments cut, stripped."""
     out = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -48,7 +49,7 @@ def _sections(text: str) -> dict[str, list[str]]:
     """Split `[name]`-headed sections into name -> payload lines."""
     out: dict[str, list[str]] = {}
     current: list[str] | None = None
-    for line in _strip_lines(text):
+    for line in strip_lines(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name in out:
@@ -61,7 +62,8 @@ def _sections(text: str) -> dict[str, list[str]]:
     return out
 
 
-def _keyvals(lines: list[str]) -> dict[str, str]:
+def keyvals(lines: list[str]) -> dict[str, str]:
+    """``key = value`` lines as a dict, both sides stripped."""
     out = {}
     for line in lines:
         if "=" not in line:
@@ -103,8 +105,8 @@ class FixtureSet:
 
 def load_fixtures(overrides: dict[str, str] | None = None) -> FixtureSet:
     # vector field ------------------------------------------------------
-    field_lines = _strip_lines(_read("vector_field.txt", overrides))
-    header = _keyvals([l for l in field_lines if "->" not in l])
+    field_lines = strip_lines(_read("vector_field.txt", overrides))
+    header = keyvals([l for l in field_lines if "->" not in l])
     p = int(header["p"])
     variables = tuple(header["vars"].split())
     ring = PolyRing(variables, p, DEGREVLEX)
@@ -115,7 +117,7 @@ def load_fixtures(overrides: dict[str, str] | None = None) -> FixtureSet:
     chart_vars: dict[str, tuple[str, ...]] = {}
     chart_fields: dict[str, Derivation] = {}
     for name, lines in _sections(_read("chart_fields.txt", overrides)).items():
-        header = _keyvals([l for l in lines if "->" not in l])
+        header = keyvals([l for l in lines if "->" not in l])
         cvars = tuple(header["vars"].split())
         cring = PolyRing(cvars, p, DEGREVLEX)
         chart_vars[name] = cvars
@@ -124,19 +126,19 @@ def load_fixtures(overrides: dict[str, str] | None = None) -> FixtureSet:
 
     # subring generators -------------------------------------------------
     sections = _sections(_read("subring_generators.txt", overrides))
-    homog = _keyvals(sections["homogeneous"])
+    homog = keyvals(sections["homogeneous"])
     k1 = parse_poly(ring, homog["K1"])
     k2 = parse_poly(ring, homog["K2"])
     chart_gens: dict[str, tuple[Polynomial, Polynomial]] = {}
     for chart in CHARTS:
-        vals = _keyvals(sections[f"chart_{chart}"])
+        vals = keyvals(sections[f"chart_{chart}"])
         cvars = tuple(vals["vars"].split())
         if chart in chart_vars and cvars != chart_vars[chart]:
             raise ParseError(f"chart {chart} variable mismatch across files")
         cring = PolyRing(cvars, p, DEGREVLEX)
         chart_gens[chart] = (parse_poly(cring, vals["gen1"]),
                              parse_poly(cring, vals["gen2"]))
-    pres = _keyvals(sections["presentation_x3"])
+    pres = keyvals(sections["presentation_x3"])
     pres_ring = PolyRing(tuple(pres["vars"].split()), p, DEGREVLEX)
     presentation_rels = (parse_poly(pres_ring, pres["rel1"]),
                          parse_poly(pres_ring, pres["rel2"]))
@@ -147,7 +149,7 @@ def load_fixtures(overrides: dict[str, str] | None = None) -> FixtureSet:
         "singular": _grid(tables["singular_hodge"]),
         "supersingular": _grid(tables["supersingular_hodge"]),
     }
-    de_rham = {int(k): int(v) for k, v in _keyvals(tables["de_rham"]).items()}
+    de_rham = {int(k): int(v) for k, v in keyvals(tables["de_rham"]).items()}
 
     return FixtureSet(
         p=p, ring=ring, field=field,

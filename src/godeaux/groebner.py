@@ -337,15 +337,16 @@ def _eliminate(system: list, nvars: int, p: int, nd: int, budget: int | None,
     return kept, pairs, name
 
 
-def _frobenius_seeds(source_ring: PolyRing, target_ring: PolyRing,
-                     images: Sequence[Polynomial]) -> list[Polynomial]:
+def frobenius_seeds(source_ring: PolyRing, target_ring: PolyRing,
+                    images: Sequence[Polynomial]) -> list[Polynomial]:
     """Kernel elements of shape S^p - twist(image), available whenever every
     target variable in the image has its p-th power among the images.
 
     Over the prime field (c^p = c) the p-th power of an image rewrites
     exactly as the image's exponent pattern over those preimage variables,
     so each seed maps to image^p - image^p = 0: a kernel member for free.
-    Every candidate is still re-verified by substitution before use.
+    Each seed is substitution-checked as it is built (EngineError if it
+    fails); seeds come in image order.
     """
     p = source_ring.p
     preimage: dict[int, int] = {}
@@ -395,10 +396,11 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
 
     Builds the graph ideal (source_var - image) as term maps over the
     target variables followed by the source ones, then eliminates the
-    target variables as ``eliminate`` does.  Frobenius-power seeds (see ``_frobenius_seeds``) are added to
-    the same ideal when available; they change nothing about the ideal
-    and keep the pair count small on p-th-power subring instances.  Every
-    returned generator is substitution-checked to actually vanish.
+    target variables as ``eliminate`` does.  Frobenius-power seeds (see
+    ``frobenius_seeds``) are added to the same ideal when available; they
+    change nothing about the ideal and keep the pair count small on
+    p-th-power subring instances.  Every returned generator is
+    substitution-checked to actually vanish.
     """
     images = list(images)
     if len(images) != source_ring.nvars:
@@ -418,7 +420,7 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
     graph = [{zt + zs[:i] + (1,) + zs[i + 1:]: 1,
               **{e + zs: p - c for e, c in g._terms.items()}}
              for i, g in enumerate(images)]
-    seeds = _frobenius_seeds(source_ring, target_ring, images) if seed else []
+    seeds = frobenius_seeds(source_ring, target_ring, images) if seed else []
     graph.extend({zt + e: c for e, c in g._terms.items()} for g in seeds)
 
     kept, pairs, name = _eliminate(graph, nt + ns, p, nt, budget, backend_name)
@@ -476,20 +478,6 @@ def jacobian_minors(gens: Sequence[Polynomial], codim: int) -> list[Polynomial]:
     return out
 
 
-def _unit_witness(system: Sequence[Polynomial],
-                  budget: int | None) -> tuple[CombinationWitness | None, int]:
-    """Cofactors expressing 1 over ``system`` (pure kernel; the run stops
-    as soon as 1 appears)."""
-    basis, reps, pairs = _buchberger_tracked(system, budget)
-    ring = system[0].ring
-    if basis != [ring.one()]:
-        return None, pairs
-    cofactors = tuple(Polynomial._raw(ring, r) for r in reps[0])
-    wit = CombinationWitness(target=ring.one(), generators=tuple(system),
-                             cofactors=cofactors, remainder=ring.zero())
-    return wit, pairs
-
-
 def jacobian_smoothness(gens: Sequence[Polynomial], codim: int,
                         locus: Sequence[Polynomial] = (),
                         budget: int | None = DEFAULT_BUDGET,
@@ -517,12 +505,14 @@ def jacobian_smoothness(gens: Sequence[Polynomial], codim: int,
         gb = buchberger(system, budget=budget, backend_name=backend_name)
         pairs_total += gb.pairs_processed
         if gb.is_unit_ideal():
-            wit, pairs = _unit_witness(system, budget)
-            return SmoothnessCertificate(verdict=verdict, generators=gens,
-                                         minors=minors, locus=locus,
-                                         codim=codim, unit_witness=wit,
-                                         residual=None,
-                                         pairs_processed=pairs_total + pairs)
+            # The witness run is the same Buchberger on the same system, so
+            # it processes exactly gb's pairs; they are counted once more.
+            _, wit = ideal_member(ring.one(), system, budget=budget,
+                                  witness=True)
+            return SmoothnessCertificate(
+                verdict=verdict, generators=gens, minors=minors, locus=locus,
+                codim=codim, unit_witness=wit, residual=None,
+                pairs_processed=pairs_total + gb.pairs_processed)
     return SmoothnessCertificate(verdict=INCONCLUSIVE, generators=gens,
                                  minors=minors, locus=locus, codim=codim,
                                  unit_witness=None, residual=gb.polynomials,

@@ -177,16 +177,6 @@ class PolyRing:
     def parse(self, text: str) -> "Polynomial":
         return parse_poly(self, text)
 
-    # -- derived rings --------------------------------------------------------
-
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.variables, self.p, order)
-
-    def extended(self, extra: Sequence[str],
-                 order: MonomialOrder | None = None) -> "PolyRing":
-        return PolyRing(self.variables + tuple(extra), self.p,
-                        order if order is not None else self.order)
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -248,9 +238,11 @@ class Polynomial:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def items_sorted(self, reverse: bool = True) -> list:
+    def items_sorted(self) -> list:
+        """Terms as ``(exponents, coefficient)``, largest monomial first."""
         key = self.ring.sort_key
-        return sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+        return sorted(self._terms.items(), key=lambda t: key(t[0]),
+                      reverse=True)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -442,8 +434,8 @@ def frobenius_power(f: Polynomial) -> Polynomial:
                             for exps, c in f._terms.items()})
 
 
-def dehomogenize(f: Polynomial, chart, names: Sequence[str] | None = None,
-                 order: MonomialOrder | None = None) -> Polynomial:
+def dehomogenize(f: Polynomial, chart,
+                 names: Sequence[str] | None = None) -> Polynomial:
     """Set the chart variable to 1, landing in a fresh (n-1)-variable ring.
 
     ``names`` renames the remaining variables (defaults to their original
@@ -456,8 +448,7 @@ def dehomogenize(f: Polynomial, chart, names: Sequence[str] | None = None,
         raise GradingError("dehomogenization requires a homogeneous polynomial")
     if names is None:
         names = ring.variables[:i] + ring.variables[i + 1:]
-    if order is None:
-        order = ring.order if ring.order.kind != "block" else DEGREVLEX
+    order = ring.order if ring.order.kind != "block" else DEGREVLEX
     target = PolyRing(names, ring.p, order)
     # Distinct terms of one total degree stay distinct without exps[i].
     return Polynomial._raw(target, {exps[:i] + exps[i + 1:]: c

@@ -22,11 +22,11 @@ from .derivations import (apply, chart_transform, fixed_locus_ideal,
 from .errors import BudgetExceeded, EngineError
 from .fixtures import CHARTS, FixtureSet, load_fixtures, patched_text
 from .groebner import (DEFAULT_BUDGET, SMOOTH, SMOOTH_ON_LOCUS,
-                       CombinationWitness, SmoothnessCertificate, ideal_member,
-                       jacobian_minors, jacobian_smoothness, radical_member,
-                       ring_map_kernel)
-from .rings import (Polynomial, dehomogenize, frobenius_power,
-                    laurent_normalize, parse_poly, substitute)
+                       CombinationWitness, SmoothnessCertificate,
+                       frobenius_seeds, ideal_member, jacobian_minors,
+                       jacobian_smoothness, radical_member, ring_map_kernel)
+from .rings import (Polynomial, dehomogenize, laurent_normalize, parse_poly,
+                    substitute)
 
 PASS = "pass"
 FAIL = "fail"
@@ -296,28 +296,24 @@ def _check_c6(ctx: SuiteContext) -> dict:
 def _check_c7(ctx: SuiteContext) -> dict:
     fx = ctx.fx
     kp = ctx.x3_presentation()
-    expected = list(fx.presentation_rels)
+    computed, expected = list(kp.generators), list(fx.presentation_rels)
     witness: dict = {
         "ambient_variables": list(fx.presentation_ring.variables),
-        "computed_kernel": [str(g) for g in kp.generators],
+        "computed_kernel": [str(g) for g in computed],
         "expected_relations": [str(r) for r in expected],
         "pairs_processed": kp.pairs_processed,
         "membership": {"computed_in_expected": [], "expected_in_computed": []},
         "assumed_background": _BACKGROUND_NOTE,
     }
     ok = True
-    for g in kp.generators:
-        member, wit = ideal_member(g, expected, budget=ctx.budget,
-                                   witness=True,
-                                   backend_name=ctx.backend_name)
-        witness["membership"]["computed_in_expected"].append(_wit_json(wit))
-        ok = ok and member
-    for r in expected:
-        member, wit = ideal_member(r, list(kp.generators), budget=ctx.budget,
-                                   witness=True,
-                                   backend_name=ctx.backend_name)
-        witness["membership"]["expected_in_computed"].append(_wit_json(wit))
-        ok = ok and member
+    for side, targets, gens in (("computed_in_expected", computed, expected),
+                                ("expected_in_computed", expected, computed)):
+        for t in targets:
+            member, wit = ideal_member(t, gens, budget=ctx.budget,
+                                       witness=True,
+                                       backend_name=ctx.backend_name)
+            witness["membership"][side].append(_wit_json(wit))
+            ok = ok and member
     if not ok:
         raise _Failure(witness)
     return witness
@@ -374,45 +370,16 @@ def _check_c9(ctx: SuiteContext) -> dict:
                                assumed_background=_BACKGROUND_NOTE)
 
 
-def _fifth_power_relations(ctx: SuiteContext, chart: str):
-    """Presentation relations via verified fifth-power rewriting.
-
-    For each adjoined generator g, the engine computes g**p exactly; every
-    exponent is then divisible by p, so rewriting monomials in terms of
-    the fifth-power coordinates is a plain exponent division.  Each
-    relation is certified by substituting the defining images back in and
-    checking the result is identically zero.
-    """
-    fx = ctx.fx
-    ring = fx.presentation_ring
-    p = fx.p
-    images = ctx.adjunction_images(chart)
-    nbase = len(images) - 2
-    relations = []
-    certified = []
-    for k, gen in enumerate(ctx.chart_generators(chart)):
-        power = frobenius_power(gen)
-        twist_terms = {}
-        for e, coeff in power._terms.items():
-            te = tuple(ei // p for ei in e) + (0,) * 2
-            twist_terms[te] = coeff
-        twist = Polynomial._raw(ring, twist_terms)
-        rel = ring.gen(nbase + k)**p - twist
-        residue = substitute(rel, gen.ring, images)
-        relations.append(rel)
-        certified.append(residue.is_zero())
-    return relations, certified
-
-
 def _check_c10(ctx: SuiteContext) -> dict:
-    relations, certified = _fifth_power_relations(ctx, "x1")
-    witness = _certify_smoothness(ctx, "C10", relations,
-                                  certified_by_substitution=certified,
-                                  completeness_note=_COMPLETENESS_NOTE,
-                                  assumed_background=_BACKGROUND_NOTE)
-    if not all(certified):
-        raise _Failure(witness)
-    return witness
+    # frobenius_seeds substitution-checks each relation as it builds it.
+    relations = frobenius_seeds(ctx.fx.presentation_ring,
+                                ctx.chart_field("x1").ring,
+                                ctx.adjunction_images("x1"))
+    certified = [True] * len(relations)
+    return _certify_smoothness(ctx, "C10", relations,
+                               certified_by_substitution=certified,
+                               completeness_note=_COMPLETENESS_NOTE,
+                               assumed_background=_BACKGROUND_NOTE)
 
 
 def _check_c11(ctx: SuiteContext) -> dict:

@@ -17,8 +17,8 @@ from godeaux.derivations import Derivation, apply, chart_transform, graded_kerne
 from godeaux.errors import BudgetExceeded, ContextError, EngineError
 from godeaux.fixtures import load_fixtures
 from godeaux.groebner import (CombinationWitness, KernelPresentation,
-                              _common_ring, _frobenius_seeds, buchberger,
-                              eliminate, radical_member, reduce,
+                              _common_ring, buchberger, eliminate,
+                              frobenius_seeds, radical_member, reduce,
                               ring_map_kernel, spolynomial)
 from godeaux.rings import (DEGREVLEX, LEX, MonomialOrder, PolyRing,
                            Polynomial, block_order, dehomogenize,
@@ -755,7 +755,7 @@ def _ref_ring_map_kernel(source_ring, target_ring, images, budget,
     graph = []
     for i, g in enumerate(images):
         graph.append(lift_source(source_ring.gen(i)) - lift_target(g))
-    seeds = _frobenius_seeds(source_ring, target_ring, images) if seed else []
+    seeds = frobenius_seeds(source_ring, target_ring, images) if seed else []
     graph.extend(lift_source(s) for s in seeds)
 
     kept, gb = _ref_eliminate(graph, range(nt), budget, backend_name)

@@ -1,6 +1,7 @@
 """Groebner engine: bases, membership, elimination, kernels, smoothness."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from godeaux.groebner import (buchberger, eliminate, ideal_member,
                               jacobian_minors, jacobian_smoothness,
                               radical_member, reduce, reduce_tracked,
                               ring_map_kernel, spolynomial)
-from godeaux.rings import DEGREVLEX, LEX, PolyRing, block_order, parse_poly
+from godeaux.rings import (DEGREVLEX, LEX, PolyRing, Polynomial, block_order,
+                           parse_poly)
 
 R3 = PolyRing(("x", "y", "z"), 5, DEGREVLEX)
 R2 = PolyRing(("x", "y"), 5, DEGREVLEX)
@@ -271,13 +273,15 @@ class TestBackendRouting:
 
 
 MAP_ONLY = "a polynomial must be a dict {exponents: coefficient}"
+BAD_EXPONENTS = "expected nvars non-negative exponents"
 
 
 @pytest.mark.parametrize("name", ["pure", "compiled"])
 class TestKernelBoundary:
     """Both kernels take each polynomial as a term map ``{exponents:
-    coefficient}`` and nothing else, leave their input maps as they were,
-    and return new maps, largest monomial first."""
+    coefficient}`` and nothing else, check its exponents, reduce its
+    coefficients mod p, read each argument once, leave their input maps
+    as they were, and return new maps, largest monomial first."""
 
     RING = PolyRing(("x", "y", "z"), 5, block_order(1))
     GENS = ("x^2 + 2*y*z + 3", "4*x*y - z^2", "2*y^3 + x")
@@ -315,6 +319,33 @@ class TestKernelBoundary:
             with pytest.raises(TypeError) as info:
                 call()
             assert str(info.value) == MAP_ONLY
+
+    def test_malformed_exponents_are_refused(self, name):
+        kern = backend.get(name)
+        for bad in ({(1, 0, 3): 1}, {(1,): 1}, {(1, -1): 1}):
+            for call in (lambda: kern.normal_form(bad, [], 2, 5, "lex"),
+                         lambda: kern.normal_form({(0, 1): 1}, [bad], 2, 5,
+                                                  "lex"),
+                         lambda: kern.buchberger([bad], 2, 5, "degrevlex")):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == BAD_EXPONENTS
+
+    def test_coefficients_are_reduced_mod_p(self, name):
+        kern = backend.get(name)
+        assert kern.normal_form({(1, 0): 7}, [], 2, 5, "lex") == {(1, 0): 2}
+        # 5*x is zero over F_5, so the basis is y alone
+        assert kern.buchberger([{(1, 0): 5}, {(0, 1): 1}], 2, 5,
+                               "degrevlex") == ([{(0, 1): 1}], 0)
+
+    def test_iterables_are_read_once(self, name):
+        *gens, f = self.maps()
+        kern = backend.get(name)
+        shape = (3, 5, "block")
+        assert kern.buchberger(iter(gens), *shape, split=1) == \
+            kern.buchberger(gens, *shape, split=1)
+        assert kern.normal_form(f, iter(gens), *shape, split=1) == \
+            kern.normal_form(f, gens, *shape, split=1)
 
     def test_input_maps_are_not_mutated(self, name):
         *gens, f = self.maps()
@@ -724,6 +755,63 @@ class TestSmoothness:
     def test_foreign_locus_rejected(self):
         with pytest.raises(ContextError):
             jacobian_smoothness([p2("x")], 1, locus=[p3("z")])
+
+
+def _seeded_smoothness_cases(seed, count):
+    """``(gens, codim, locus)``: one plane curve with a constant term and a
+    linear locus per case, and sometimes a second curve in three variables."""
+    rng = random.Random(seed)
+
+    def rand(ring, deg, nterms):
+        terms = {(0,) * ring.nvars: rng.randint(0, 4)}
+        while len(terms) <= nterms:
+            e = tuple(rng.randint(0, deg) for _ in range(ring.nvars))
+            if 0 < sum(e) <= deg:
+                terms[e] = rng.randint(1, 4)
+        return Polynomial(ring, terms)
+
+    cases = []
+    for i in range(count):
+        ring = R2 if i % 2 else R3
+        gens = [rand(ring, 3, 3) for _ in range(ring.nvars - 1)]
+        cases.append((gens, len(gens), [rand(ring, 1, 1)]))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["pure", "compiled"])
+def test_certificate_pair_accounting(name):
+    # The count is the plain pairs of every stage tried plus those of the
+    # pure tracked run behind the unit witness, whose first cofactor row is
+    # the witness.
+    fx = load_fixtures()
+    cases = [([p2("x^2 + y^2 - 1")], 1, []), ([p2("x*y")], 1, []),
+             ([p2("y^2 - x^3")], 1, [p2("x - 1")]),
+             (list(fx.presentation_rels), 2, [])]
+    cases += _seeded_smoothness_cases(1515, 12)
+    verdicts = set()
+    for gens, codim, locus in cases:
+        cert = jacobian_smoothness(gens, codim, locus=locus, backend_name=name)
+        verdicts.add(cert.verdict)
+        base = list(gens) + list(cert.minors)
+        expected, witness_row = 0, None
+        for system in [base] + ([base + locus] if locus else []):
+            gb = buchberger(system, backend_name=name)
+            expected += gb.pairs_processed
+            if gb.is_unit_ideal():
+                ring = gb.ring
+                _, reps, pairs, _ = _kernel_pure.buchberger_tracked(
+                    [g.terms() for g in system], ring.nvars, ring.p,
+                    ring.order.kind, split=ring.order.split)
+                expected += pairs
+                witness_row = reps[0]
+                break
+        assert cert.pairs_processed == expected
+        if witness_row is None:
+            assert cert.unit_witness is None
+        else:
+            assert [c.terms() for c in cert.unit_witness.cofactors] == \
+                witness_row
+    assert verdicts == {"smooth", "smooth-on-locus", "inconclusive"}
 
 
 # Loads the compiled kernel from the file named in argv[1], arms a 0.5 s

@@ -245,12 +245,6 @@ class TestStructureMaps:
         image = substitute(f, target, (t, t ** 2, t + 1))
         assert image == t * t ** 2 + (t + 1) ** 2
 
-    def test_ring_equality_and_with_order(self):
+    def test_ring_equality(self):
         assert R == PolyRing(("x", "y", "z"), 5, DEGREVLEX)
         assert R != PolyRing(("x", "y", "z"), 5, LEX)
-        assert R.with_order(LEX) == PolyRing(("x", "y", "z"), 5, LEX)
-
-    def test_extended_ring(self):
-        ext = R.extended(("w",))
-        assert ext.variables == ("x", "y", "z", "w")
-        assert ext.p == 5
