@@ -15,8 +15,10 @@ the call here, where any ring is taken and the width grows as needed
 Boundary format: a polynomial is a dict ``{exponent_tuple: coeff}``
 in any order; anything else raises TypeError.  As in the compiled
 kernel, an exponent tuple needs ``nvars`` non-negative entries (else
-ValueError), and coefficients are reduced mod p, zeros dropped.  Input
-dicts are only read.  Each output is a new dict, largest monomial first.
+ValueError), exponents and coefficients must be integers, ``bool``
+included (else TypeError), and coefficients are reduced mod p, zeros
+dropped.  Input dicts are only read.  Each output is a new dict, largest
+monomial first.
 
 Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007): inside a call a
@@ -69,7 +71,7 @@ monomial twice, and ``_reduce_basis`` replaces reducer tails as it goes.
 from __future__ import annotations
 
 import heapq
-from operator import mul
+from operator import index, mul
 
 from .errors import BudgetExceeded
 from .rings import MonomialOrder
@@ -124,9 +126,11 @@ def _packed(nvars, p, kind, split, polys, run):
     polys = list(polys)
     if not all(isinstance(t, dict) for t in polys):
         raise TypeError("a polynomial must be a dict {exponents: coefficient}")
-    if any(len(e) != nvars or min(e, default=0) < 0 for t in polys for e in t):
+    if any(len(e) != nvars or min(map(index, e), default=0) < 0
+           for t in polys for e in t):
         raise ValueError("expected nvars non-negative exponents")
-    polys = [{e: r for e, c in t.items() if (r := c % p)} for t in polys]
+    polys = [{e: r for e, c in t.items() if (r := index(c) % p)}
+             for t in polys]
     degree = max((sum(e) for t in polys for e in t), default=0)
     width = _first_width(degree)
     while True:

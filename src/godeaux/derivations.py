@@ -30,9 +30,6 @@ class Derivation:
         self.ring = ring
         self.images = images
 
-    def image(self, var) -> Polynomial:
-        return self.images[self.ring.var_index(var)]
-
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.images)
 

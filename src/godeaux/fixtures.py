@@ -63,13 +63,16 @@ def _sections(text: str) -> dict[str, list[str]]:
 
 
 def keyvals(lines: list[str]) -> dict[str, str]:
-    """``key = value`` lines as a dict, both sides stripped."""
+    """``key = value`` lines as a dict, both sides stripped; a key may
+    appear once."""
     out = {}
     for line in lines:
         if "=" not in line:
             raise ParseError(f"expected `key = value`, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (side.strip() for side in line.split("=", 1))
+        if key in out:
+            raise ParseError(f"repeated key {key!r}")
+        out[key] = value
     return out
 
 

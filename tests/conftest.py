@@ -21,6 +21,7 @@ import hashlib
 import importlib.abc
 import importlib.machinery
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -138,14 +139,21 @@ def suite_report_json(suite_results):
 
 
 @pytest.fixture(scope="session")
-def mutation_outcomes():
-    """Mapping mutation name -> list of non-pass check ids under it."""
-    outcomes = {}
+def mutation_reports():
+    """Mapping mutation name -> JSON report of the run under it."""
+    reports = {}
     for mutation in MUTATIONS:
         fx = load_fixtures(mutation.overrides())
         results = run_all(seed=1, budget=2000, fixtures=fx)
-        outcomes[mutation.name] = [r.id for r in results if r.status != PASS]
-    return outcomes
+        reports[mutation.name] = report(results, "json")
+    return reports
+
+
+@pytest.fixture(scope="session")
+def mutation_outcomes(mutation_reports):
+    """Mapping mutation name -> list of non-pass check ids under it."""
+    return {name: [e["id"] for e in json.loads(text) if e["status"] != PASS]
+            for name, text in mutation_reports.items()}
 
 
 @pytest.fixture(scope="session")

@@ -194,6 +194,14 @@ class TestGroebner:
         assert main(["groebner", str(path)]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_repeated_header_key_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "twice.txt"
+        path.write_text("p = 5\np = 7\nx^7 - x\n")
+        assert main(["groebner", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated key 'p'" in captured.err
+
     def test_budget_exceeded(self, minors_file, capsys):
         assert main(["groebner", minors_file, "--budget", "1"]) == 3
         err = capsys.readouterr().err

@@ -274,6 +274,7 @@ class TestBackendRouting:
 
 MAP_ONLY = "a polynomial must be a dict {exponents: coefficient}"
 BAD_EXPONENTS = "expected nvars non-negative exponents"
+NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
 
 
 @pytest.mark.parametrize("name", ["pure", "compiled"])
@@ -330,6 +331,24 @@ class TestKernelBoundary:
                 with pytest.raises(ValueError) as info:
                     call()
                 assert str(info.value) == BAD_EXPONENTS
+
+    def test_non_integers_are_refused(self, name):
+        kern = backend.get(name)
+        for bad in ({(1, 0): 2.0}, {(1.0, 0): 1}):
+            for call in (lambda: kern.normal_form(bad, [], 2, 5, "lex"),
+                         lambda: kern.normal_form({(0, 1): 1}, [bad], 2, 5,
+                                                  "lex"),
+                         lambda: kern.buchberger([bad], 2, 5, "degrevlex")):
+                with pytest.raises(TypeError) as info:
+                    call()
+                assert str(info.value) == NOT_AN_INTEGER
+
+    def test_booleans_are_integers(self, name):
+        kern = backend.get(name)
+        assert kern.normal_form({(True, False): True}, [], 2, 5,
+                                "lex") == {(1, 0): 1}
+        assert kern.buchberger([{(False, True): True}], 2, 5,
+                               "degrevlex") == ([{(0, 1): 1}], 0)
 
     def test_coefficients_are_reduced_mod_p(self, name):
         kern = backend.get(name)

@@ -1,6 +1,7 @@
 """Verification suite: checks, reports, witnesses, mutation coverage."""
 
 import copy
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,11 +9,14 @@ from pathlib import Path
 import pytest
 
 from godeaux import backend
-from godeaux.fixtures import load_fixtures
-from godeaux.suite import (BUDGET_EXCEEDED, CHECK_IDS, FAIL, MUTATIONS, PASS,
-                           CheckResult, report, run_all, verify_witness)
+from godeaux.errors import ParseError
+from godeaux.fixtures import keyvals, load_fixtures
+from godeaux.suite import (_CHECKS, BUDGET_EXCEEDED, CHECK_IDS, FAIL,
+                           MUTATIONS, PASS, CheckResult, SuiteContext, report,
+                           run_all, verify_witness)
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
+MUTATION_REPORTS = Path(__file__).parent / "data" / "mutation_reports.json"
 
 
 # -- witness tamperings that a sound re-verification must reject -------------
@@ -70,6 +74,31 @@ def _non_canonical_minor(w):
                                        + w["locus"])
 
 
+def _edited_invariants(w):
+    w["quintic_invariants"] = {"chi": 6, "k2": 7}
+
+
+def _edited_field_image(w):
+    w["field_image"] = "x1 + 1"
+
+
+def _edited_expected_relations(w):
+    w["expected_relations"] = ["s"]
+
+
+def _uncertified_relations(w):
+    w["certified_by_substitution"] = [False] * len(w["relations"])
+
+
+def _edited_ambient_variables(w):
+    w["ambient_variables"] = w["ambient_variables"][:-1]
+
+
+def _extra_radical_member(w):
+    # x0 is not in the radical: the fixed point is the x0 coordinate point
+    w["radical"]["x0"] = True
+
+
 TAMPERINGS = (
     ("C8", _unit_witness_from_remainder),
     ("C9", _unit_witness_from_remainder),
@@ -83,7 +112,19 @@ TAMPERINGS = (
     ("C10", _forged_minor),
     ("C9", _non_canonical_minor),
     ("C10", _non_canonical_minor),
+    ("C12", _edited_invariants),
+    ("C12", _edited_field_image),
+    ("C7", _edited_expected_relations),
+    ("C10", _uncertified_relations),
+    ("C7", _edited_ambient_variables),
+    ("C2", _extra_radical_member),
 )
+
+
+class TestFixtureReader:
+    def test_keyvals_refuses_a_repeated_key(self):
+        with pytest.raises(ParseError, match="repeated key 'p'"):
+            keyvals(["p = 5", "vars = x", "p = 7"])
 
 
 class TestFullRun:
@@ -99,6 +140,17 @@ class TestFullRun:
             assert r.description
             assert r.paper_anchor
             assert isinstance(r.witness, dict) and r.witness
+
+    def test_checks_return_a_bool_verdict(self, fixtures):
+        mutated = load_fixtures(MUTATIONS[0].overrides())
+        verdicts = set()
+        for fx in (fixtures, mutated):
+            ctx = SuiteContext(fx, 1, 2000, None)
+            for check_id, _, _, check in _CHECKS:
+                passed, witness = check(ctx)
+                assert type(passed) is bool and isinstance(witness, dict)
+                verdicts.add(passed)
+        assert verdicts == {True, False}
 
 
 class TestReport:
@@ -249,6 +301,13 @@ class TestMutations:
         assert set(mutation_outcomes) == {m.name for m in MUTATIONS}
         silent = [name for name, ids in mutation_outcomes.items() if not ids]
         assert silent == []
+
+    def test_failing_witnesses_are_pinned(self, mutation_reports):
+        # sha256 of each mutation's JSON report; the two cohomology
+        # mutations agree, because C14 records verdicts, not table values
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in mutation_reports.items()}
+        assert digests == json.loads(MUTATION_REPORTS.read_text())
 
     def test_field_mutation_flips_core_checks(self, mutation_outcomes):
         flipped = set(mutation_outcomes["field-image-extra-term"])
