@@ -17,8 +17,11 @@ in any order; anything else raises TypeError.  As in the compiled
 kernel, an exponent tuple needs ``nvars`` non-negative entries (else
 ValueError), exponents and coefficients must be integers, ``bool``
 included (else TypeError), and coefficients are reduced mod p, zeros
-dropped.  Input dicts are only read.  Each output is a new dict, largest
-monomial first.
+dropped.  An input with several faults raises the compiled kernel's error
+for the first one it reads: the generators before ``f``, a map term by
+term, a term's exponents (up to the first negative one) before its
+coefficient.  Input dicts are only read.  Each output is a new dict,
+largest monomial first.
 
 Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007): inside a call a
@@ -122,22 +125,27 @@ def _first_width(degree):
 
 def _packed(nvars, p, kind, split, polys, run):
     """``run(packing, packed_polys)`` at a fitting width; wider on overflow.
-    ``polys`` is read once, so it may be any iterable of maps."""
-    polys = list(polys)
-    if not all(isinstance(t, dict) for t in polys):
-        raise TypeError("a polynomial must be a dict {exponents: coefficient}")
-    if any(len(e) != nvars or min(map(index, e), default=0) < 0
-           for t in polys for e in t):
-        raise ValueError("expected nvars non-negative exponents")
-    polys = [{e: r for e, c in t.items() if (r := index(c) % p)}
-             for t in polys]
-    degree = max((sum(e) for t in polys for e in t), default=0)
+    ``polys`` is read once, so it may be any iterable of maps; they are
+    checked in the order given (see the module docstring)."""
+    maps = []
+    for t in polys:
+        if not isinstance(t, dict):
+            raise TypeError(
+                "a polynomial must be a dict {exponents: coefficient}")
+        terms = {}
+        for e, c in t.items():
+            if len(e) != nvars or not all(map((0).__le__, map(index, e))):
+                raise ValueError("expected nvars non-negative exponents")
+            if r := index(c) % p:
+                terms[e] = r
+        maps.append(terms)
+    degree = max((sum(e) for t in maps for e in t), default=0)
     width = _first_width(degree)
     while True:
         pk = _Packing(nvars, kind, split, width)
         enc = pk.enc
         try:
-            return run(pk, [{enc(e): c for e, c in t.items()} for t in polys])
+            return run(pk, [{enc(e): c for e, c in t.items()} for t in maps])
         except _Overflow:
             width *= 2
 
@@ -426,10 +434,10 @@ def _reducers(gens, p):
 
 def normal_form(f_terms, gens_terms, nvars, p, kind, split=None):
     def run(pk, polys):
-        f, *gens = polys
+        *gens, f = polys
         reducers, _ = _reducers(gens, p)
         return _to_terms(_nf(f, reducers, p, pk.guard, {}), pk)
-    return _packed(nvars, p, kind, split, [f_terms, *gens_terms], run)
+    return _packed(nvars, p, kind, split, [*gens_terms, f_terms], run)
 
 
 def buchberger(gens_terms, nvars, p, kind, split=None, budget=None):
@@ -443,7 +451,7 @@ def buchberger(gens_terms, nvars, p, kind, split=None, budget=None):
 def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
     """Remainder plus per-generator quotients (aligned with the input)."""
     def run(pk, polys):
-        f, *gens = polys
+        *gens, f = polys
         reducers, owners = _reducers(gens, p)
         log = []
         r = _nf(f, reducers, p, pk.guard, {}, log)
@@ -452,7 +460,7 @@ def normal_form_tracked(f_terms, gens_terms, nvars, p, kind, split=None):
             owner, inv = owners[k]
             quots[owner][q] = c * inv % p
         return _to_terms(r, pk), [_to_terms(q, pk) for q in quots]
-    return _packed(nvars, p, kind, split, [f_terms, *gens_terms], run)
+    return _packed(nvars, p, kind, split, [*gens_terms, f_terms], run)
 
 
 def buchberger_tracked(gens_terms, nvars, p, kind, split=None, budget=None):

@@ -1,12 +1,14 @@
 """Groebner-kernel backend selection.
 
-Two interchangeable kernels ship with the package:
+Two interchangeable kernels ship with the package; each loads on first
+use, not at ``import godeaux``:
 
-* ``godeaux._kernel_pure`` — the pure-Python reference, always available;
+* ``godeaux._kernel_pure`` — the pure-Python reference, always available,
+  imported by the first ``get("pure")``;
 * ``godeaux._kernel`` — a hand-written C extension with identical
   semantics (same pair selection, pruning, reduction rule, budget
   behaviour, and canonical output), built at install time when a C
-  compiler exists.
+  compiler exists, and probed when this module is imported.
 
 The environment variable ``GODEAUX_BACKEND`` picks the default:
 ``pure`` forces the reference kernel, ``compiled`` demands the
@@ -21,8 +23,6 @@ call on the pure kernel.
 from __future__ import annotations
 
 import os
-
-from . import _kernel_pure
 
 try:  # pragma: no cover - depends on the build environment
     from . import _kernel as _compiled
@@ -58,6 +58,7 @@ def get(name: str | None = None):
     if name is None:
         name = selected_name()
     if name == "pure":
+        from . import _kernel_pure
         return _kernel_pure
     if name == "compiled":
         if _compiled is None:

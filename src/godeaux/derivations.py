@@ -8,7 +8,7 @@ linear algebra, and the fixed-locus ideal of the induced vector field.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ContextError, GradingError, ParseError, TransformError
 from .rings import (DEGREVLEX, PolyRing, Polynomial, add_product,

@@ -9,14 +9,14 @@ coefficient without touching the files on disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+import os
+from collections import namedtuple
 
 from .derivations import Derivation, parse_derivation
 from .errors import ParseError
 from .rings import DEGREVLEX, PolyRing, Polynomial, parse_poly
 
-DATA_DIR = Path(__file__).parent / "data"
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 FIXTURE_FILES = (
     "vector_field.txt",
@@ -29,10 +29,11 @@ FIXTURE_FILES = (
 CHARTS = ("x3", "x2", "x1")
 
 
-def _read(name: str, overrides: dict[str, str] | None) -> str:
+def _read(name: str, overrides: dict[str, str] | None = None) -> str:
     if overrides and name in overrides:
         return overrides[name]
-    return (DATA_DIR / name).read_text()
+    with open(os.path.join(DATA_DIR, name)) as fh:
+        return fh.read()
 
 
 def strip_lines(text: str) -> list[str]:
@@ -88,22 +89,22 @@ def _grid(lines: list[str]) -> dict[tuple[int, int], int]:
     return grid
 
 
-@dataclass(frozen=True)
-class FixtureSet:
-    """Parsed reference data for one verification run."""
+class FixtureSet(namedtuple("FixtureSet", (
+        "p",
+        "ring",                 # homogeneous coordinate ring
+        "field",                # the vector field
+        "chart_vars",           # chart -> its variable names
+        "chart_fields",         # chart -> expected image of the field
+        "k1",                   # first degree-5 invariant
+        "k2",                   # second degree-5 invariant
+        "chart_gens",           # chart -> its two subring generators
+        "presentation_ring",    # ambient ring for chart-x3 relations
+        "presentation_rels",    # the two chart-x3 relations
+        "hodge",                # kind -> dimension grid
+        "de_rham"))):
+    """Parsed reference data for one verification run (immutable)."""
 
-    p: int
-    ring: PolyRing                      # homogeneous coordinate ring
-    field: Derivation                   # the vector field
-    chart_vars: dict[str, tuple[str, ...]]
-    chart_fields: dict[str, Derivation]           # expected chart images
-    k1: Polynomial                      # first degree-5 invariant
-    k2: Polynomial                      # second degree-5 invariant
-    chart_gens: dict[str, tuple[Polynomial, Polynomial]]
-    presentation_ring: PolyRing         # ambient ring for chart-x3 relations
-    presentation_rels: tuple[Polynomial, Polynomial]
-    hodge: dict[str, dict[tuple[int, int], int]]  # kind -> dimension grid
-    de_rham: dict[int, int]
+    __slots__ = ()
 
 
 def load_fixtures(overrides: dict[str, str] | None = None) -> FixtureSet:
@@ -165,7 +166,7 @@ def load_fixtures(overrides: dict[str, str] | None = None) -> FixtureSet:
 
 def patched_text(name: str, old: str, new: str) -> str:
     """Original file text with exactly one occurrence of ``old`` replaced."""
-    text = (DATA_DIR / name).read_text()
+    text = _read(name)
     count = text.count(old)
     if count != 1:
         raise ValueError(f"fragment occurs {count} times in {name}: {old!r}")

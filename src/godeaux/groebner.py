@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import backend as _backend
 from .errors import ContextError, EngineError

@@ -10,9 +10,9 @@ mechanism.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ContextError, DivisibilityError, GradingError, ParseError
 

@@ -343,6 +343,30 @@ class TestKernelBoundary:
                     call()
                 assert str(info.value) == NOT_AN_INTEGER
 
+    def test_the_first_fault_read_is_raised(self, name):
+        """Generators before f, term by term, a term's exponents before
+        its coefficient, and an exponent tuple up to its first negative
+        entry: both kernels read in that order."""
+        kern = backend.get(name)
+        cases = [
+            ({(1, 0): 2.0, (1, 0, 0): 1}, [], TypeError, NOT_AN_INTEGER),
+            ({(1, 0, 0): 1, (1, 0): 2.0}, [], ValueError, BAD_EXPONENTS),
+            ({(1, 0): 2.0}, [{(1,): 1}], ValueError, BAD_EXPONENTS),
+            ({(-1, 2.0): 1}, [], ValueError, BAD_EXPONENTS),
+            ({(2.0, -1): 1}, [], TypeError, NOT_AN_INTEGER),
+        ]
+        forms = [kern.normal_form]
+        if kern is _kernel_pure:
+            forms.append(kern.normal_form_tracked)
+        for form in forms:
+            for f, gens, error, message in cases:
+                with pytest.raises(error) as info:
+                    form(f, gens, 2, 5, "lex")
+                assert str(info.value) == message
+        with pytest.raises(TypeError) as info:
+            kern.buchberger([{(1, 0): 2.0}, {(1,): 1}], 2, 5, "lex")
+        assert str(info.value) == NOT_AN_INTEGER
+
     def test_booleans_are_integers(self, name):
         kern = backend.get(name)
         assert kern.normal_form({(True, False): True}, [], 2, 5,

@@ -126,6 +126,12 @@ class TestFixtureReader:
         with pytest.raises(ParseError, match="repeated key 'p'"):
             keyvals(["p = 5", "vars = x", "p = 7"])
 
+    def test_fixture_set_is_immutable(self, fixtures):
+        with pytest.raises(AttributeError):
+            fixtures.p = 7
+        with pytest.raises(AttributeError):
+            fixtures.extra = 1
+
 
 class TestFullRun:
     def test_all_checks_pass(self, suite_results):
