@@ -717,9 +717,10 @@ static PyObject *py_buchberger(PyObject *self, PyObject *args, PyObject *kw)
     P.nw = r.nw;
     if (!(seq = PySequence_Fast(gens, "gens_terms must be a sequence")))
         goto done;
-    for (ssize i = 0; !unit && i < PySequence_Fast_GET_SIZE(seq); i++) {
+    /* every map is read, as on pure; none is installed after a unit */
+    for (ssize i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
         if (to_poly(&A, pobj, PySequence_Fast_GET_ITEM(seq, i), &d) < 0
-            || (d.len && (unit = install(&r, &B, &P, &d)) < 0))
+            || (!unit && d.len && (unit = install(&r, &B, &P, &d)) < 0))
             goto done;
         poly_free(&d);
     }

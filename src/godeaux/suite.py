@@ -91,16 +91,35 @@ class TableRow:
     shift: int              # power of the last projective coordinate divided out
 
 
+#: The last fixture set seen and its cache dict; the strong reference
+#: keeps the set's ``id`` from being reused while it is compared.
+_shared: tuple = (None, {})
+
+
 class SuiteContext:
-    """Shared lazily-computed artifacts; later checks reuse earlier ones."""
+    """Lazily-computed artifacts; later checks reuse earlier ones.
+
+    Everything that depends on the fixtures alone (chart fields, table
+    rows, chart generators, the degree-5 kernel, C2's minors, and each
+    search-free check's ``(passed, witness)``) is computed once per
+    ``FixtureSet`` object, which is immutable: every context made with
+    the last set seen shares one cache, compared with ``is``.  A context
+    keeps the cache it started with.  The chart-x3 elimination depends
+    on the budget and the backend, so it stays in the context.
+    """
 
     def __init__(self, fixtures: FixtureSet, seed: int, budget: int | None,
                  backend_name: str | None):
+        global _shared
         self.fx = fixtures
         self.seed = seed
         self.budget = budget
         self.backend_name = backend_name
-        self._cache: dict = {}
+        shared = _shared  # read once: a set and its dict stay paired
+        if shared[0] is not fixtures:
+            shared = _shared = (fixtures, {})
+        self._cache: dict = shared[1]
+        self._x3 = None
 
     # -- chart data -----------------------------------------------------
 
@@ -148,10 +167,24 @@ class SuiteContext:
             self._cache[key] = tuple(vals)
         return self._cache[key]
 
-    def kernel5(self) -> list[Polynomial]:
+    def kernel5(self) -> tuple[Polynomial, ...]:
         if "kernel5" not in self._cache:
-            self._cache["kernel5"] = graded_kernel(self.fx.field, 5)
+            self._cache["kernel5"] = tuple(graded_kernel(self.fx.field, 5))
         return self._cache["kernel5"]
+
+    def fixed_minors(self) -> tuple[tuple[Polynomial, ...], list[str]]:
+        """C2's fixed-locus minors, and as printed."""
+        if "minors" not in self._cache:
+            minors = tuple(fixed_locus_ideal(self.fx.field))
+            self._cache["minors"] = minors, [str(m) for m in minors]
+        return self._cache["minors"]
+
+    def rerun(self, check_id: str) -> tuple[bool, dict]:
+        """``(passed, witness)`` of a search-free check, to compare only."""
+        key = ("rerun", check_id)
+        if key not in self._cache:
+            self._cache[key] = _CHECK_FNS[check_id](self)
+        return self._cache[key]
 
     def adjunction_images(self, chart: str) -> tuple[Polynomial, ...]:
         """Images (three fifth powers, gen1, gen2) presenting the subalgebra."""
@@ -161,18 +194,17 @@ class SuiteContext:
 
     def x3_presentation(self):
         """Eliminated kernel for the chart-x3 subalgebra (feeds C8)."""
-        if "c7" not in self._cache:
+        if self._x3 is None:
             try:
-                self._cache["c7"] = ring_map_kernel(
+                self._x3 = ring_map_kernel(
                     self.fx.presentation_ring, self.chart_field("x3").ring,
                     self.adjunction_images("x3"), budget=self.budget,
                     backend_name=self.backend_name)
             except BudgetExceeded as exc:
-                self._cache["c7"] = exc
-        value = self._cache["c7"]
-        if isinstance(value, BudgetExceeded):
-            raise value
-        return value
+                self._x3 = exc
+        if isinstance(self._x3, BudgetExceeded):
+            raise self._x3
+        return self._x3
 
 
 # -- the fourteen checks -------------------------------------------------
@@ -186,8 +218,8 @@ def _check_c1(ctx: SuiteContext) -> tuple[bool, dict]:
 
 def _check_c2(ctx: SuiteContext) -> tuple[bool, dict]:
     fx = ctx.fx
-    minors = fixed_locus_ideal(fx.field)
-    witness: dict = {"minors": [str(m) for m in minors],
+    minors, printed = ctx.fixed_minors()
+    witness: dict = {"minors": list(printed),
                      "radical": {}, "powers": {}}
     for name in fx.ring.variables[1:]:
         xi = fx.ring.gen(name)
@@ -499,6 +531,8 @@ _CHECKS = (
      "first-page degeneration verdicts", _check_c14),
 )
 
+_CHECK_FNS = {check_id: fn for check_id, _, _, fn in _CHECKS}
+
 
 def run_all(seed: int = DEFAULT_SEED, budget: int | None = DEFAULT_BUDGET,
             only=None, fixtures: FixtureSet | None = None,
@@ -590,7 +624,7 @@ def _proves(ring, wit: dict, target: str, generators: list[str]) -> bool:
 def _reverify_c2(ctx: SuiteContext, w: dict) -> bool:
     ring = ctx.fx.ring
     names = ring.variables[1:]
-    if (w["minors"] != [str(m) for m in fixed_locus_ideal(ctx.fx.field)]
+    if (w["minors"] != ctx.fixed_minors()[1]
             or w["radical"] != dict.fromkeys(names, True)
             or w["powers"].keys() != set(names)):
         return False
@@ -664,11 +698,12 @@ def verify_witness(result: CheckResult,
                    seed: int = DEFAULT_SEED) -> bool:
     """Re-check a passing result's witness with no basis search.
 
-    C1, C3-C6, C11, C13 and C14 search nothing: they run again and must
-    return ``(True, saved witness)``.  Every saved cofactor combination
-    (C2, C7, the unit witnesses of C8-C10) must state the expected
-    target over the expected generators, with remainder zero, and expand
-    back to its target; C7 needs one per relation on each side.  C2's
+    C1, C3-C6, C11, C13 and C14 search nothing: their ``(passed,
+    witness)``, computed once per fixture set, must equal ``(True, saved
+    witness)``.  Every saved cofactor combination (C2, C7, the unit
+    witnesses of C8-C10) must state the expected target over the
+    expected generators, with remainder zero, and expand back to its
+    target; C7 needs one per relation on each side.  C2's
     radical verdicts and power witnesses must name exactly the last three
     coordinates, and C7's expected relations and ambient variables must
     be the fixture's.  C8-C10 must carry the expected verdict, codim and
@@ -686,7 +721,12 @@ def verify_witness(result: CheckResult,
     ``draws`` and C8's ``relations_source``; the prose notes are not
     compared.  The eliminated kernels of C7 and C9 are read from the
     witness, not recomputed.  A witness of the wrong shape (a missing
-    key, a list where a mapping belongs) reads as ``False``.
+    key, a list where a mapping belongs, a negative or fractional C2
+    exponent) reads as ``False``.
+
+    The cache is keyed on the ``FixtureSet`` object (see
+    ``SuiteContext``), so re-checking many reports against one loaded
+    set computes the fixture-only values once.
     """
     if result.status != PASS:
         return False
@@ -695,8 +735,7 @@ def verify_witness(result: CheckResult,
     rid, w = result.id, result.witness
     try:
         if rid in _RERUN:
-            fn = next(fn for cid, _, _, fn in _CHECKS if cid == rid)
-            return fn(ctx) == (True, w)
+            return ctx.rerun(rid) == (True, w)
         if rid in _SMOOTHNESS:
             return _reverify_smoothness(ctx, rid, w)
         if rid == "C2":
@@ -705,7 +744,7 @@ def verify_witness(result: CheckResult,
             return _reverify_c7(ctx, w)
         if rid == "C12":
             return _reverify_c12(ctx, w)
-    except (EngineError, LookupError, TypeError, AttributeError):
+    except (EngineError, LookupError, TypeError, AttributeError, ValueError):
         return False  # a witness of the wrong shape proves nothing
     raise ValueError(f"unknown check id {rid!r}")
 
@@ -785,4 +824,6 @@ REPORT_TAMPERINGS = (
               "0", "1"),
     Tampering("edited-radical-exponent", "C2", ("powers", "x1", "exponent"),
               4, 3),
+    Tampering("negative-radical-exponent", "C2",
+              ("powers", "x1", "exponent"), 4, -1),
 )

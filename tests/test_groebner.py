@@ -366,6 +366,10 @@ class TestKernelBoundary:
         with pytest.raises(TypeError) as info:
             kern.buchberger([{(1, 0): 2.0}, {(1,): 1}], 2, 5, "lex")
         assert str(info.value) == NOT_AN_INTEGER
+        # a unit does not end the reading: the fault after it is raised
+        with pytest.raises(ValueError) as info:
+            kern.buchberger([{(0, 0): 1}, {(1,): 1}], 2, 5, "lex")
+        assert str(info.value) == BAD_EXPONENTS
 
     def test_booleans_are_integers(self, name):
         kern = backend.get(name)

@@ -3,17 +3,19 @@
 import copy
 import hashlib
 import json
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from godeaux import backend
+from godeaux import backend, suite
 from godeaux.errors import ParseError
 from godeaux.fixtures import keyvals, load_fixtures
 from godeaux.suite import (_CHECKS, BUDGET_EXCEEDED, CHECK_IDS, FAIL,
-                           MUTATIONS, PASS, CheckResult, SuiteContext, report,
-                           run_all, verify_witness)
+                           MUTATIONS, PASS, REPORT_TAMPERINGS, CheckResult,
+                           SuiteContext, report, run_all, verify_witness)
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 MUTATION_REPORTS = Path(__file__).parent / "data" / "mutation_reports.json"
@@ -99,6 +101,14 @@ def _extra_radical_member(w):
     w["radical"]["x0"] = True
 
 
+def _negative_exponent(w):
+    w["powers"]["x1"]["exponent"] = -1
+
+
+def _fractional_exponent(w):
+    w["powers"]["x1"]["exponent"] = 2.5
+
+
 TAMPERINGS = (
     ("C8", _unit_witness_from_remainder),
     ("C9", _unit_witness_from_remainder),
@@ -118,6 +128,8 @@ TAMPERINGS = (
     ("C10", _uncertified_relations),
     ("C7", _edited_ambient_variables),
     ("C2", _extra_radical_member),
+    ("C2", _negative_exponent),
+    ("C2", _fractional_exponent),
 )
 
 
@@ -275,6 +287,158 @@ class TestWitnesses:
         c8 = next(r for r in suite_results if r.id == "C8")
         assert c8.witness["unit_witness"]["target"] == "1"
         assert c8.witness["verdict"] == "smooth"
+
+
+def _results(text):
+    return [CheckResult(**entry) for entry in json.loads(text)]
+
+
+def _scribble(node):
+    """Edit every mapping and list inside a witness in place."""
+    children = node.values() if isinstance(node, dict) else node
+    for child in list(children):
+        if isinstance(child, (dict, list)):
+            _scribble(child)
+    if isinstance(node, dict):
+        node["scribbled"] = True
+    else:
+        node.append("scribbled")
+
+
+class TestSharedCache:
+    """Fixture-only results are computed once per fixture set; verdicts
+    must not depend on which sets were seen before."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, suite_results, mutation_reports):
+        """(mutation name or None, result, expected verdict or None) for
+        the golden report, the full run, each mutation's run, the golden
+        report under each mutation, and every tampering."""
+        golden = _results(GOLDEN.read_text())
+        cases = [(None, r, True) for r in golden + list(suite_results)]
+        for m in MUTATIONS:
+            cases += [(m.name, r, None)
+                      for r in _results(mutation_reports[m.name]) + golden]
+        for check_id, tampering in TAMPERINGS:
+            result = next(r for r in suite_results if r.id == check_id)
+            witness = copy.deepcopy(result.witness)
+            tampering(witness)
+            cases.append((None, replace(result, witness=witness), False))
+        payload = json.loads(GOLDEN.read_text())
+        for tampering in REPORT_TAMPERINGS:
+            cases += [(None, CheckResult(**e), e["id"] != tampering.check_id)
+                      for e in tampering.apply(payload)]
+        return cases
+
+    @staticmethod
+    def _load(name):
+        overrides = next((m.overrides() for m in MUTATIONS if m.name == name),
+                         None)
+        return load_fixtures(overrides)
+
+    @staticmethod
+    def _verdicts(cases, fixtures_for):
+        return [verify_witness(r, fixtures_for(name), seed=1)
+                for name, r, _ in cases]
+
+    def test_verdicts_do_not_depend_on_fixture_reuse(self, cases, fixtures):
+        fresh = self._verdicts(cases, self._load)
+        assert [v for v, (_, _, e) in zip(fresh, cases) if e is not None] \
+            == [e for _, _, e in cases if e is not None]
+        loaded = {m.name: self._load(m.name) for m in MUTATIONS}
+        loaded[None] = fixtures
+        assert self._verdicts(cases, loaded.__getitem__) == fresh
+        # unmutated and mutated sets alternate call by call
+        plain = [i for i, case in enumerate(cases) if case[0] is None]
+        mutated = [i for i, case in enumerate(cases) if case[0]]
+        order = [i for k, j in enumerate(mutated)
+                 for i in (plain[k % len(plain)], j)]
+        assert set(order) == set(range(len(cases)))
+        alternating = self._verdicts([cases[i] for i in order],
+                                     loaded.__getitem__)
+        assert alternating == [fresh[i] for i in order]
+
+    def test_threads_alternating_sets_agree(self, cases, fixtures):
+        """Threads that alternate fixture sets, switching often, get the
+        verdicts of fresh sets: a context's cache always matches its set."""
+        loaded = {m.name: self._load(m.name) for m in MUTATIONS[:4]}
+        loaded[None] = fixtures
+        picked = [c for c in cases if c[0] in loaded and c[1].id in
+                  ("C4", "C5", "C6", "C11")]
+        expected = self._verdicts(picked, self._load)
+        wrong = []
+
+        def work(shift):
+            for _ in range(3):
+                for k in range(len(picked)):
+                    i = (k + shift) % len(picked)
+                    name, result, _ = picked[i]
+                    if verify_witness(result, loaded[name]) != expected[i]:
+                        wrong.append(picked[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * n,))
+                       for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_engine_error_is_not_kept(self, fixtures):
+        mutation = next(m for m in MUTATIONS
+                        if m.name == "invariant1-coefficient")
+        patched = load_fixtures(mutation.overrides())
+        c6 = next(r for r in _results(GOLDEN.read_text()) if r.id == "C6")
+        for _ in range(2):
+            assert verify_witness(c6, patched) is False
+            assert ("rerun", "C6") not in suite._shared[1]
+        assert verify_witness(c6, fixtures) is True
+
+    def test_tampered_c11_after_an_accepted_one(self, suite_results,
+                                                fixtures):
+        c11 = next(r for r in suite_results if r.id == "C11")
+        witness = copy.deepcopy(c11.witness)
+        witness["dimension"] = 11
+        assert verify_witness(c11, fixtures)
+        assert not verify_witness(replace(c11, witness=witness), fixtures)
+        assert verify_witness(c11, fixtures)
+
+    def test_degree_five_kernel_computed_once(self, suite_results,
+                                              monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return graded_kernel(*args)
+
+        graded_kernel = suite.graded_kernel
+        monkeypatch.setattr(suite, "graded_kernel", counted)
+        fx = load_fixtures()
+        c11 = next(r for r in suite_results if r.id == "C11")
+        assert verify_witness(c11, fx) and verify_witness(c11, fx)
+        assert len(calls) == 1
+
+    def test_budget_stays_with_the_run(self, fixtures):
+        run_all(seed=1, fixtures=fixtures)
+        c7 = next(r for r in _results(GOLDEN.read_text()) if r.id == "C7")
+        assert verify_witness(c7, fixtures)
+        (r,) = run_all(seed=1, budget=1, fixtures=fixtures, only=("C7",))
+        assert r.status == BUDGET_EXCEEDED
+
+    def test_edited_witnesses_change_nothing_later(self, fixtures):
+        golden = _results(GOLDEN.read_text())
+        for _ in range(2):
+            for r in run_all(seed=1, fixtures=fixtures):
+                _scribble(r.witness)
+            assert all(verify_witness(r, fixtures, seed=1) for r in golden)
+        again = report(run_all(seed=1, fixtures=fixtures), "json")
+        assert again == GOLDEN.read_text()
 
 
 class TestBudgets:
