@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -324,9 +325,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     _refuse_early_flag(parser, argv)
     args = parser.parse_args(argv)
+    code = None
     try:
         settings = _settings(args)
-        return _COMMANDS[args.subcommand](args, settings)
+        code = _COMMANDS[args.subcommand](args, settings)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # A reader that stopped early is no error.  Stdout goes to devnull
+        # (CPython's SIGPIPE note); a command cut short reruns there.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return main(argv) if code is None else code
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -6,8 +6,9 @@ can be re-verified by expansion and evaluation alone, on a fail as on a
 pass.  ``run_all`` reports each as an id (C1..C14), a human description,
 a status (pass / fail / budget-exceeded) and a stable anchor naming the
 source claim, beside the witness; an engine error inside a check fails
-it.  Runs are deterministic given the seed: two runs with equal seed
-produce byte-identical json reports.
+it.  Each check is declared once, in the registry ``CHECKS``, which
+``verify_witness`` also reads.  Runs are deterministic given the seed:
+two runs with equal seed produce byte-identical json reports.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import copy
 import json
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from . import numerics
 from .derivations import (apply, chart_transform, fixed_locus_ideal,
@@ -24,9 +26,9 @@ from .derivations import (apply, chart_transform, fixed_locus_ideal,
 from .errors import BudgetExceeded, EngineError
 from .fixtures import CHARTS, FixtureSet, load_fixtures, patched_text
 from .groebner import (DEFAULT_BUDGET, SMOOTH, SMOOTH_ON_LOCUS,
-                       CombinationWitness, SmoothnessCertificate,
-                       frobenius_seeds, ideal_member, jacobian_minors,
-                       jacobian_smoothness, radical_member, ring_map_kernel)
+                       CombinationWitness, frobenius_seeds, ideal_member,
+                       jacobian_minors, jacobian_smoothness, radical_member,
+                       ring_map_kernel)
 from .rings import (Polynomial, dehomogenize, laurent_normalize, parse_poly,
                     substitute)
 
@@ -36,21 +38,19 @@ BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_SEED = 1
 
-CHECK_IDS = tuple(f"C{i}" for i in range(1, 15))
-
 #: The three affine-chart smoothness targets are three-dimensional schemes
 #: presented in five variables, so the Jacobian criterion uses 2x2 minors.
 _ADJUNCTION_CODIM = 2
 
-_BACKGROUND_NOTE = (
+_BACKGROUND_NOTE = {"assumed_background": (
     "unverified background: identifying the presented subalgebra with the "
     "full invariant ring rests on normality and fraction-field arguments "
-    "outside the engine's scope")
+    "outside the engine's scope")}
 
-_COMPLETENESS_NOTE = (
+_COMPLETENESS_NOTE = {"completeness_note": (
     "the two relations are certified fifth-power identities; that they "
     "generate the whole kernel rests on a height-one factoriality argument "
-    "not mechanized here")
+    "not mechanized here")}
 
 
 @dataclass
@@ -70,6 +70,31 @@ class CheckResult:
             "witness": self.witness,
             "paper_anchor": self.paper_anchor,
         }
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check.  ``recheck(ctx, witness)`` searches nothing; ``None``
+    marks a search-free check, whose ``run`` must give ``(True, witness)``.
+    ``notes`` join the witness; ``unchecked``: skipped field -> reason."""
+
+    id: str
+    description: str
+    anchor: str
+    run: Callable
+    recheck: Callable | None = None
+    notes: dict = field(default_factory=dict)
+    unchecked: dict = field(default_factory=dict)
+
+    def verify(self, ctx: SuiteContext, result: CheckResult) -> bool:
+        """Whether a saved passing result re-checks."""
+        w = result.witness
+        if (result.description != self.description
+                or result.paper_anchor != self.anchor
+                or any(w[k] != v for k, v in self.notes.items())):
+            return False
+        return (ctx.rerun(self.id) == (True, w) if self.recheck is None
+                else self.recheck(ctx, w))
 
 
 def _wit_json(w: CombinationWitness) -> dict:
@@ -183,7 +208,7 @@ class SuiteContext:
         """``(passed, witness)`` of a search-free check, to compare only."""
         key = ("rerun", check_id)
         if key not in self._cache:
-            self._cache[key] = _CHECK_FNS[check_id](self)
+            self._cache[key] = CHECKS[check_id].run(self)
         return self._cache[key]
 
     def adjunction_images(self, chart: str) -> tuple[Polynomial, ...]:
@@ -310,7 +335,6 @@ def _check_c7(ctx: SuiteContext) -> tuple[bool, dict]:
         "expected_relations": [str(r) for r in expected],
         "pairs_processed": kp.pairs_processed,
         "membership": {"computed_in_expected": [], "expected_in_computed": []},
-        "assumed_background": _BACKGROUND_NOTE,
     }
     passed = True
     for side, targets, gens in (("computed_in_expected", computed, expected),
@@ -324,65 +348,83 @@ def _check_c7(ctx: SuiteContext) -> tuple[bool, dict]:
     return passed, witness
 
 
-#: Expected verdict and locus variables of each smoothness check; the
-#: checks and their re-verification both read this table.
-_SMOOTHNESS = {"C8": (SMOOTH, ()), "C9": (SMOOTH_ON_LOCUS, ("w",)),
-               "C10": (SMOOTH_ON_LOCUS, ("v", "w"))}
+def _smoothness(verdict: str, names: tuple[str, ...], presentation,
+                also=None) -> tuple[Callable, Callable]:
+    """Run and re-check of a chart's smoothness check, with its expected
+    verdict and locus.  ``presentation(ctx)`` gives relations and witness
+    fields; ``also(ctx, w, relations)`` is the check's own re-check."""
+
+    def run(ctx: SuiteContext) -> tuple[bool, dict]:
+        gens, extra = presentation(ctx)
+        ring = ctx.fx.presentation_ring
+        cert = jacobian_smoothness(
+            gens, _ADJUNCTION_CODIM, locus=[ring.gen(n) for n in names],
+            budget=ctx.budget, backend_name=ctx.backend_name)
+        witness = {
+            "verdict": cert.verdict,
+            "codim": cert.codim,
+            "relations": [str(g) for g in cert.generators],
+            "minors": [str(m) for m in cert.minors],
+            "locus": [str(f) for f in cert.locus],
+            "pairs_processed": cert.pairs_processed,
+            **extra,
+        }
+        if cert.unit_witness is not None:
+            witness["unit_witness"] = _wit_json(cert.unit_witness)
+        if cert.residual is not None:
+            witness["residual"] = [str(g) for g in cert.residual]
+        return cert.verdict == verdict and cert.verify(), witness
+
+    def recheck(ctx: SuiteContext, w: dict) -> bool:
+        if (w["verdict"] != verdict or w["codim"] != _ADJUNCTION_CODIM
+                or w["locus"] != list(names)
+                or len(w["relations"]) < _ADJUNCTION_CODIM):
+            return False
+        ring = ctx.fx.presentation_ring
+        relations = [_parse_canonical(ring, g) for g in w["relations"]]
+        # The minors are recomputed and compared as text, never parsed.
+        minors = jacobian_minors(relations, _ADJUNCTION_CODIM)
+        if [str(m) for m in minors] != w["minors"]:
+            return False
+        locus = [ring.gen(name) for name in names]
+        return (_proves(w["unit_witness"], ring.one(),
+                        w["relations"] + w["minors"] + w["locus"],
+                        relations + minors + locus)
+                and (also is None or also(ctx, w, relations)))
+
+    return run, recheck
 
 
-def _certify_smoothness(ctx: SuiteContext, check_id: str, gens,
-                        **extra) -> tuple[bool, dict]:
-    """Jacobian certificate of one chart presentation, as a check witness."""
-    verdict, names = _SMOOTHNESS[check_id]
-    ring = ctx.fx.presentation_ring
-    cert = jacobian_smoothness(gens, _ADJUNCTION_CODIM,
-                               locus=[ring.gen(n) for n in names],
-                               budget=ctx.budget, backend_name=ctx.backend_name)
-    witness = {
-        "verdict": cert.verdict,
-        "codim": cert.codim,
-        "relations": [str(g) for g in cert.generators],
-        "minors": [str(m) for m in cert.minors],
-        "locus": [str(f) for f in cert.locus],
-        "pairs_processed": cert.pairs_processed,
-        **extra,
-    }
-    if cert.unit_witness is not None:
-        witness["unit_witness"] = _wit_json(cert.unit_witness)
-    if cert.residual is not None:
-        witness["residual"] = [str(g) for g in cert.residual]
-    return cert.verdict == verdict and cert.verify(), witness
-
-
-def _check_c8(ctx: SuiteContext) -> tuple[bool, dict]:
+def _c8_relations(ctx: SuiteContext) -> tuple[list, dict]:
     try:
-        gens = list(ctx.x3_presentation().generators)
-        source = "eliminated kernel"
+        gens, source = ctx.x3_presentation().generators, "eliminated kernel"
     except BudgetExceeded:
-        gens = list(ctx.fx.presentation_rels)
+        gens = ctx.fx.presentation_rels
         source = "expected relations (elimination exceeded budget)"
-    return _certify_smoothness(ctx, "C8", gens, relations_source=source)
+    return list(gens), {"relations_source": source}
 
 
-def _check_c9(ctx: SuiteContext) -> tuple[bool, dict]:
+def _c9_relations(ctx: SuiteContext) -> tuple[list, dict]:
     kp = ring_map_kernel(ctx.fx.presentation_ring, ctx.chart_field("x2").ring,
                          ctx.adjunction_images("x2"), budget=ctx.budget,
                          backend_name=ctx.backend_name)
-    return _certify_smoothness(ctx, "C9", list(kp.generators),
-                               elimination_pairs=kp.pairs_processed,
-                               assumed_background=_BACKGROUND_NOTE)
+    return list(kp.generators), {"elimination_pairs": kp.pairs_processed}
 
 
-def _check_c10(ctx: SuiteContext) -> tuple[bool, dict]:
+def _c10_relations(ctx: SuiteContext) -> tuple[list, dict]:
     # frobenius_seeds substitution-checks each relation as it builds it.
     relations = frobenius_seeds(ctx.fx.presentation_ring,
                                 ctx.chart_field("x1").ring,
                                 ctx.adjunction_images("x1"))
-    certified = [True] * len(relations)
-    return _certify_smoothness(ctx, "C10", relations,
-                               certified_by_substitution=certified,
-                               completeness_note=_COMPLETENESS_NOTE,
-                               assumed_background=_BACKGROUND_NOTE)
+    return relations, {"certified_by_substitution": [True] * len(relations)}
+
+
+def _c10_substituted(ctx: SuiteContext, w: dict, relations) -> bool:
+    """C10's relations are stated certified and vanish under its images."""
+    images = ctx.adjunction_images("x1")
+    return (w["certified_by_substitution"] == [True] * len(relations)
+            and all(substitute(rel, images[0].ring, images).is_zero()
+                    for rel in relations))
 
 
 def _check_c11(ctx: SuiteContext) -> tuple[bool, dict]:
@@ -480,58 +522,146 @@ def _check_c14(ctx: SuiteContext) -> tuple[bool, dict]:
     return passed, witness
 
 
-_CHECKS = (
-    ("C1", "The vector field's fifth operator power vanishes on every "
-           "variable.",
-     "additivity of the vector field (vanishing fifth power)", _check_c1),
-    ("C2", "The radical of the fixed-locus ideal contains the last three "
-           "coordinates.",
-     "single fixed point at the first coordinate point", _check_c2),
-    ("C3", "Both degree-5 invariants are homogeneous and annihilated by "
-           "the vector field.",
-     "the two quintic invariants lie in the field's kernel", _check_c3),
-    ("C4", "The induced vector fields on the three affine charts match "
-           "the expected forms.",
-     "displayed chart forms of the vector field", _check_c4),
-    ("C5", "All six tabulated chart generators lie in the kernel of their "
-           "chart field.",
-     "tabulated chart generators lie in the chart kernels", _check_c5),
-    ("C6", "Each homogeneous invariant combination dehomogenizes to its "
-           "tabulated chart generator.",
-     "homogeneous-to-inhomogeneous generator tables", _check_c6),
-    ("C7", "The eliminated chart-x3 subalgebra kernel equals the expected "
-           "relations, two-sidedly.",
-     "relations presenting the chart-x3 subalgebra over the fifth powers",
-     _check_c7),
-    ("C8", "The chart-x3 subalgebra presentation defines a smooth scheme.",
-     "smoothness of the chart-x3 subalgebra", _check_c8),
-    ("C9", "The chart-x2 subalgebra is smooth at every point above the "
-           "locus w = 0.",
-     "smoothness of the chart-x2 subalgebra above the vanishing of the "
-     "last fifth-power coordinate", _check_c9),
-    ("C10", "The chart-x1 subalgebra is smooth at every point above the "
-            "locus v = w = 0.",
-     "smoothness of the chart-x1 subalgebra above the vanishing of both "
-     "later fifth-power coordinates", _check_c10),
-    ("C11", "The degree-5 kernel has dimension 12 and contains the four "
-            "fifth powers and both invariants.",
-     "the fifth powers and both invariants inside the degree-5 kernel",
-     _check_c11),
-    ("C12", "A seeded random invariant quintic avoids the fixed point and "
-            "has chi = K2 = 5.",
-     "an invariant quintic with chi and canonical self-intersection 5",
-     _check_c12),
-    ("C13", "Invariants descend through the degree-5 torsor to "
-            "chi = K2 = 1.",
-     "descended invariants chi and canonical self-intersection 1",
-     _check_c13),
-    ("C14", "Feasibility, torsion bound, Betti numbers, and first-page "
-            "degeneration verdicts agree with the expected tables.",
-     "feasible characteristics, torsion bound, second Betti number 9, "
-     "first-page degeneration verdicts", _check_c14),
-)
+# -- witness re-verification (expansion and evaluation only) ------------------
 
-_CHECK_FNS = {check_id: fn for check_id, _, _, fn in _CHECKS}
+
+def _parse_canonical(ring, text: str) -> Polynomial:
+    """Saved polynomial text, parsed; it must print back to itself, so an
+    equal polynomial in other text proves nothing."""
+    poly = parse_poly(ring, text)
+    if str(poly) != text:
+        raise ValueError(f"{text!r} is not canonical")
+    return poly
+
+
+def _proves(wit: dict, target: Polynomial, generators: list[str],
+            parsed) -> bool:
+    """Whether a saved witness states ``target`` over ``generators``
+    (``parsed``), remainder ``"0"``, as text, and expands back to it."""
+    if (wit["target"] != str(target) or wit["generators"] != generators
+            or wit["remainder"] != "0"):
+        return False
+    ring = target.ring
+    return CombinationWitness(
+        target, tuple(parsed),
+        tuple(_parse_canonical(ring, c) for c in wit["cofactors"]),
+        ring.zero()).verify()
+
+
+def _reverify_c2(ctx: SuiteContext, w: dict) -> bool:
+    ring = ctx.fx.ring
+    names = ring.variables[1:]
+    minors, printed = ctx.fixed_minors()
+    if (w["minors"] != printed
+            or w["radical"] != dict.fromkeys(names, True)
+            or w["powers"].keys() != set(names)):
+        return False
+    return all(_proves(entry["witness"], ring.gen(name)**entry["exponent"],
+                       printed, minors)
+               for name, entry in w["powers"].items())
+
+
+def _reverify_c7(ctx: SuiteContext, w: dict) -> bool:
+    ring = ctx.fx.presentation_ring
+    expected = ctx.fx.presentation_rels
+    printed = [str(r) for r in expected]
+    if (w["expected_relations"] != printed
+            or w["ambient_variables"] != list(ring.variables)):
+        return False
+    computed = [_parse_canonical(ring, g) for g in w["computed_kernel"]]
+    membership = w["membership"]
+    sides = ((membership["computed_in_expected"], computed, printed, expected),
+             (membership["expected_in_computed"], expected,
+              w["computed_kernel"], computed))
+    return all(len(wits) == len(targets)
+               and all(_proves(wit, t, gens, parsed)
+                       for wit, t in zip(wits, targets))
+               for wits, targets, gens, parsed in sides)
+
+
+def _reverify_c12(ctx: SuiteContext, w: dict) -> bool:
+    fx = ctx.fx
+    element = _parse_canonical(fx.ring, w["element"])
+    field_image = apply(fx.field, element)
+    base = (1,) + (0,) * (fx.ring.nvars - 1)
+    chi, k2 = numerics.hypersurface_invariants(5)
+    return (field_image.is_zero() and w["field_image"] == str(field_image)
+            and element.evaluate(base) == w["base_point_value"] != 0
+            and w["quintic_invariants"] == {"chi": chi, "k2": k2}
+            and (chi, k2) == (5, 5))
+
+
+_PAIRS = "a pair count is known only by redoing the basis search"
+
+CHECKS = {check.id: check for check in (
+    Check("C1", "The vector field's fifth operator power vanishes on every "
+                "variable.",
+          "additivity of the vector field (vanishing fifth power)", _check_c1),
+    Check("C2", "The radical of the fixed-locus ideal contains the last "
+                "three coordinates.",
+          "single fixed point at the first coordinate point",
+          _check_c2, _reverify_c2),
+    Check("C3", "Both degree-5 invariants are homogeneous and annihilated "
+                "by the vector field.",
+          "the two quintic invariants lie in the field's kernel", _check_c3),
+    Check("C4", "The induced vector fields on the three affine charts match "
+                "the expected forms.",
+          "displayed chart forms of the vector field", _check_c4),
+    Check("C5", "All six tabulated chart generators lie in the kernel of "
+                "their chart field.",
+          "tabulated chart generators lie in the chart kernels", _check_c5),
+    Check("C6", "Each homogeneous invariant combination dehomogenizes to its "
+                "tabulated chart generator.",
+          "homogeneous-to-inhomogeneous generator tables", _check_c6),
+    Check("C7", "The eliminated chart-x3 subalgebra kernel equals the "
+                "expected relations, two-sidedly.",
+          "relations presenting the chart-x3 subalgebra over the fifth "
+          "powers", _check_c7, _reverify_c7,
+          notes=_BACKGROUND_NOTE,
+          unchecked={"pairs_processed": _PAIRS}),
+    Check("C8", "The chart-x3 subalgebra presentation defines a smooth "
+                "scheme.",
+          "smoothness of the chart-x3 subalgebra",
+          *_smoothness(SMOOTH, (), _c8_relations),
+          unchecked={"pairs_processed": _PAIRS,
+                     "relations_source": "either source is sound: the "
+                     "certificate is re-checked over the saved relations"}),
+    Check("C9", "The chart-x2 subalgebra is smooth at every point above the "
+                "locus w = 0.",
+          "smoothness of the chart-x2 subalgebra above the vanishing of the "
+          "last fifth-power coordinate",
+          *_smoothness(SMOOTH_ON_LOCUS, ("w",), _c9_relations),
+          notes=_BACKGROUND_NOTE,
+          unchecked={"pairs_processed": _PAIRS, "elimination_pairs": _PAIRS}),
+    Check("C10", "The chart-x1 subalgebra is smooth at every point above the "
+                 "locus v = w = 0.",
+          "smoothness of the chart-x1 subalgebra above the vanishing of both "
+          "later fifth-power coordinates",
+          *_smoothness(SMOOTH_ON_LOCUS, ("v", "w"), _c10_relations,
+                       _c10_substituted),
+          notes={**_BACKGROUND_NOTE, **_COMPLETENESS_NOTE},
+          unchecked={"pairs_processed": _PAIRS}),
+    Check("C11", "The degree-5 kernel has dimension 12 and contains the four "
+                 "fifth powers and both invariants.",
+          "the fifth powers and both invariants inside the degree-5 kernel",
+          _check_c11),
+    Check("C12", "A seeded random invariant quintic avoids the fixed point "
+                 "and has chi = K2 = 5.",
+          "an invariant quintic with chi and canonical self-intersection 5",
+          _check_c12, _reverify_c12,
+          unchecked={"draws": "the number of draws depends on the seed, "
+                     "which the report does not hold"}),
+    Check("C13", "Invariants descend through the degree-5 torsor to "
+                 "chi = K2 = 1.",
+          "descended invariants chi and canonical self-intersection 1",
+          _check_c13),
+    Check("C14", "Feasibility, torsion bound, Betti numbers, and first-page "
+                 "degeneration verdicts agree with the expected tables.",
+          "feasible characteristics, torsion bound, second Betti number 9, "
+          "first-page degeneration verdicts", _check_c14),
+)}
+
+CHECK_IDS = tuple(CHECKS)
 
 
 def run_all(seed: int = DEFAULT_SEED, budget: int | None = DEFAULT_BUDGET,
@@ -554,12 +684,13 @@ def run_all(seed: int = DEFAULT_SEED, budget: int | None = DEFAULT_BUDGET,
         wanted = None
     ctx = SuiteContext(fixtures, seed, budget, backend_name)
     results = []
-    for check_id, description, anchor, fn in _CHECKS:
-        if wanted is not None and check_id not in wanted:
+    for check in CHECKS.values():
+        if wanted is not None and check.id not in wanted:
             continue
         start = time.monotonic()
         try:
-            passed, witness = fn(ctx)
+            passed, witness = check.run(ctx)
+            witness.update(check.notes)
             status = PASS if passed else FAIL
         except BudgetExceeded as exc:
             witness = {"pairs_processed": exc.pairs_processed,
@@ -571,8 +702,8 @@ def run_all(seed: int = DEFAULT_SEED, budget: int | None = DEFAULT_BUDGET,
             witness = {"error": str(exc)}
             status = FAIL
         results.append(CheckResult(
-            id=check_id, description=description, status=status,
-            witness=witness, paper_anchor=anchor,
+            id=check.id, description=check.description, status=status,
+            witness=witness, paper_anchor=check.anchor,
             elapsed=time.monotonic() - start))
     return results
 
@@ -595,158 +726,32 @@ def report(results: list[CheckResult], fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# -- witness re-verification (expansion and evaluation only) ------------------
-
-
-#: Checks that search nothing; re-verification runs them again.
-_RERUN = ("C1", "C3", "C4", "C5", "C6", "C11", "C13", "C14")
-
-
-def _parse_witness(ring, wit: dict, generators) -> CombinationWitness:
-    """Inverse of ``_wit_json``, given ``wit["generators"]`` parsed."""
-    return CombinationWitness(
-        target=parse_poly(ring, wit["target"]),
-        generators=tuple(generators),
-        cofactors=tuple(parse_poly(ring, c) for c in wit["cofactors"]),
-        remainder=parse_poly(ring, wit["remainder"]))
-
-
-def _proves(ring, wit: dict, target: str, generators: list[str]) -> bool:
-    """Whether a saved witness expands to ``target`` over ``generators``;
-    printing is canonical, so the strings are compared before parsing."""
-    if wit["target"] != target or wit["generators"] != generators:
-        return False
-    parsed = _parse_witness(ring, wit,
-                            [parse_poly(ring, g) for g in generators])
-    return parsed.is_member and parsed.verify()
-
-
-def _reverify_c2(ctx: SuiteContext, w: dict) -> bool:
-    ring = ctx.fx.ring
-    names = ring.variables[1:]
-    if (w["minors"] != ctx.fixed_minors()[1]
-            or w["radical"] != dict.fromkeys(names, True)
-            or w["powers"].keys() != set(names)):
-        return False
-    return all(_proves(ring, entry["witness"],
-                       str(ring.gen(name)**entry["exponent"]), w["minors"])
-               for name, entry in w["powers"].items())
-
-
-def _reverify_c7(ctx: SuiteContext, w: dict) -> bool:
-    ring = ctx.fx.presentation_ring
-    expected = [str(r) for r in ctx.fx.presentation_rels]
-    if (w["expected_relations"] != expected
-            or w["ambient_variables"] != list(ring.variables)):
-        return False
-    computed = w["computed_kernel"]
-    membership = w["membership"]
-    sides = ((membership["computed_in_expected"], computed, expected),
-             (membership["expected_in_computed"], expected, computed))
-    return all(len(wits) == len(targets)
-               and all(_proves(ring, wit, t, gens)
-                       for wit, t in zip(wits, targets))
-               for wits, targets, gens in sides)
-
-
-def _reverify_smoothness(ctx: SuiteContext, check_id: str, w: dict) -> bool:
-    verdict, names = _SMOOTHNESS[check_id]
-    wit = w.get("unit_witness")
-    # strings first: parsing is most of the cost
-    if (w["verdict"] != verdict or w["codim"] != _ADJUNCTION_CODIM
-            or w["locus"] != list(names) or wit is None
-            or wit["generators"] != w["relations"] + w["minors"] + w["locus"]
-            or len(w["relations"]) < _ADJUNCTION_CODIM):
-        return False
-    ring = ctx.fx.presentation_ring
-    relations = [parse_poly(ring, g) for g in w["relations"]]
-    # The minors are recomputed and compared as canonical text, as
-    # ``_proves`` compares targets and generators: never parsed.
-    minors = jacobian_minors(relations, _ADJUNCTION_CODIM)
-    if [str(m) for m in minors] != w["minors"]:
-        return False
-    locus = [ring.gen(name) for name in names]
-    cert = SmoothnessCertificate(
-        verdict=verdict, generators=tuple(relations), minors=tuple(minors),
-        locus=tuple(locus), codim=w["codim"],
-        unit_witness=_parse_witness(ring, wit, relations + minors + locus),
-        residual=None, pairs_processed=w["pairs_processed"])
-    if not cert.verify():
-        return False
-    if check_id == "C10":
-        images = ctx.adjunction_images("x1")
-        return (w["certified_by_substitution"] == [True] * len(relations)
-                and all(substitute(rel, images[0].ring, images).is_zero()
-                        for rel in relations))
-    return True
-
-
-def _reverify_c12(ctx: SuiteContext, w: dict) -> bool:
-    fx = ctx.fx
-    element = parse_poly(fx.ring, w["element"])
-    field_image = apply(fx.field, element)
-    base = (1,) + (0,) * (fx.ring.nvars - 1)
-    chi, k2 = numerics.hypersurface_invariants(5)
-    return (field_image.is_zero() and w["field_image"] == str(field_image)
-            and element.evaluate(base) == w["base_point_value"] != 0
-            and w["quintic_invariants"] == {"chi": chi, "k2": k2}
-            and (chi, k2) == (5, 5))
-
-
 def verify_witness(result: CheckResult,
                    fixtures: FixtureSet | None = None,
                    seed: int = DEFAULT_SEED) -> bool:
-    """Re-check a passing result's witness with no basis search.
+    """Re-check a passing result with no basis search, by its ``CHECKS``
+    entry; the README lists what each re-check compares.
 
-    C1, C3-C6, C11, C13 and C14 search nothing: their ``(passed,
-    witness)``, computed once per fixture set, must equal ``(True, saved
-    witness)``.  Every saved cofactor combination (C2, C7, the unit
-    witnesses of C8-C10) must state the expected target over the
-    expected generators, with remainder zero, and expand back to its
-    target; C7 needs one per relation on each side.  C2's
-    radical verdicts and power witnesses must name exactly the last three
-    coordinates, and C7's expected relations and ambient variables must
-    be the fixture's.  C8-C10 must carry the expected verdict, codim and
-    locus, their minors must be the Jacobian minors of their saved
-    relations, and C10's relations must be stated certified and must
-    vanish under the chart-x1 images.  Targets, generators and minors are
-    compared as canonical text, never parsed: the minors are recomputed
-    from the parsed relations and printed, so a minor saved as an equal
-    polynomial in other text reads as ``False``.  C12 depends on the
-    seed, so its element is checked instead: its field image is zero and
-    printed as saved, its value at the fixed point is nonzero and as
-    saved, and the saved quintic invariants are the computed (5, 5).
-    Left unchecked, since each needs a search or the seed: the pair
-    counts (``pairs_processed``, ``elimination_pairs``), C12's
-    ``draws`` and C8's ``relations_source``; the prose notes are not
-    compared.  The eliminated kernels of C7 and C9 are read from the
-    witness, not recomputed.  A witness of the wrong shape (a missing
-    key, a list where a mapping belongs, a negative or fractional C2
-    exponent) reads as ``False``.
-
-    The cache is keyed on the ``FixtureSet`` object (see
-    ``SuiteContext``), so re-checking many reports against one loaded
-    set computes the fixture-only values once.
+    Description, anchor and notes must be the entry's.  A search-free
+    check must give ``(True, saved witness)``, computed once per
+    ``FixtureSet`` object (see ``SuiteContext``); the others follow their
+    ``recheck``.  Saved targets, generators, remainders and minors are
+    compared as canonical text, every other saved polynomial must print
+    back to itself, and each cofactor combination must expand back to its
+    target.  Only the entry's ``unchecked`` fields go unchecked.  A
+    witness of the wrong shape reads as ``False``; an unknown id raises
+    ``ValueError``.
     """
     if result.status != PASS:
         return False
+    if result.id not in CHECK_IDS:
+        raise ValueError(f"unknown check id {result.id!r}")
     fx = fixtures if fixtures is not None else load_fixtures()
-    ctx = SuiteContext(fx, seed, None, None)
-    rid, w = result.id, result.witness
     try:
-        if rid in _RERUN:
-            return ctx.rerun(rid) == (True, w)
-        if rid in _SMOOTHNESS:
-            return _reverify_smoothness(ctx, rid, w)
-        if rid == "C2":
-            return _reverify_c2(ctx, w)
-        if rid == "C7":
-            return _reverify_c7(ctx, w)
-        if rid == "C12":
-            return _reverify_c12(ctx, w)
+        return CHECKS[result.id].verify(SuiteContext(fx, seed, None, None),
+                                        result)
     except (EngineError, LookupError, TypeError, AttributeError, ValueError):
         return False  # a witness of the wrong shape proves nothing
-    raise ValueError(f"unknown check id {rid!r}")
 
 
 # -- canned sensitivity mutations ----------------------------------------------
@@ -826,4 +831,5 @@ REPORT_TAMPERINGS = (
               4, 3),
     Tampering("negative-radical-exponent", "C2",
               ("powers", "x1", "exponent"), 4, -1),
+    Tampering("padded-target", "C9", ("unit_witness", "target"), "1", "1 "),
 )

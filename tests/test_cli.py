@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, file handling."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from godeaux.rings import DEGREVLEX, PolyRing, parse_poly
 from godeaux.suite import REPORT_TAMPERINGS
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIELD_FILE = """\
 p = 5
@@ -127,6 +129,38 @@ class TestReverify:
 
         monkeypatch.setattr(backend, "get", no_kernel)
         assert main(["reverify", str(GOLDEN)]) == 0
+
+
+class TestClosedStdout:
+    """A reader that stops early is not an error: the exit code is the
+    command's own, with no error line and no traceback."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command,code", [
+        ("reverify", 0), ("reverify-tampered", 1), ("verify-C3", 0)])
+    def test_closed_reader(self, command, code, unbuffered, tmp_path):
+        report = GOLDEN
+        if command == "reverify-tampered":
+            report = tmp_path / "report.json"
+            golden = json.loads(GOLDEN.read_text())
+            report.write_text(json.dumps(REPORT_TAMPERINGS[0].apply(golden)))
+        argv = (["verify", "--only", "C3"] if command == "verify-C3"
+                else ["reverify", str(report)])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC),
+                                             env.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "godeaux.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, "")
 
 
 class TestKernel:

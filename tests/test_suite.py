@@ -13,7 +13,7 @@ import pytest
 from godeaux import backend, suite
 from godeaux.errors import ParseError
 from godeaux.fixtures import keyvals, load_fixtures
-from godeaux.suite import (_CHECKS, BUDGET_EXCEEDED, CHECK_IDS, FAIL,
+from godeaux.suite import (BUDGET_EXCEEDED, CHECK_IDS, CHECKS, FAIL,
                            MUTATIONS, PASS, REPORT_TAMPERINGS, CheckResult,
                            SuiteContext, report, run_all, verify_witness)
 
@@ -109,6 +109,42 @@ def _fractional_exponent(w):
     w["powers"]["x1"]["exponent"] = 2.5
 
 
+# Equal polynomials in text the engine does not print: saved text must be
+# canonical.
+
+def _combination(w):
+    """The first cofactor combination of a C2, C7 or C8-C10 witness."""
+    if "powers" in w:
+        return w["powers"]["x1"]["witness"]
+    if "membership" in w:
+        return w["membership"]["computed_in_expected"][0]
+    return w["unit_witness"]
+
+
+def _padded_unit_target(w):
+    w["unit_witness"]["target"] = "1 "
+
+
+def _product_unit_target(w):
+    w["unit_witness"]["target"] = "1*1"
+
+
+def _padded_remainder(w):
+    _combination(w)["remainder"] = "0 "
+
+
+def _product_remainder(w):
+    _combination(w)["remainder"] = "0*2"
+
+
+def _padded_cofactor(w):
+    _combination(w)["cofactors"][-1] += " "
+
+
+def _padded_element(w):
+    w["element"] += " "
+
+
 TAMPERINGS = (
     ("C8", _unit_witness_from_remainder),
     ("C9", _unit_witness_from_remainder),
@@ -130,7 +166,46 @@ TAMPERINGS = (
     ("C2", _extra_radical_member),
     ("C2", _negative_exponent),
     ("C2", _fractional_exponent),
+    ("C9", _padded_unit_target),
+    ("C8", _product_unit_target),
+    ("C2", _padded_remainder),
+    ("C7", _product_remainder),
+    ("C8", _padded_remainder),
+    ("C9", _product_remainder),
+    ("C10", _padded_remainder),
+    ("C2", _padded_cofactor),
+    ("C7", _padded_cofactor),
+    ("C10", _padded_cofactor),
+    ("C12", _padded_element),
 )
+
+
+def _leaves(node, path=()):
+    """(path, value) of every leaf of a parsed JSON value."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def _leaf_edits(value):
+    """The report sweep's edits of one leaf: an int +1, a bool flipped, and
+    for a string a trailing space, "+1" appended, the first "1" made "2",
+    and "0" made "0*2"."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1]
+    if not isinstance(value, str):
+        return []
+    edits = [value + " ", value + "+1"]
+    if "1" in value:
+        edits.append(value.replace("1", "2", 1))
+    if value == "0":
+        edits.append("0*2")
+    return edits
 
 
 class TestFixtureReader:
@@ -164,8 +239,8 @@ class TestFullRun:
         verdicts = set()
         for fx in (fixtures, mutated):
             ctx = SuiteContext(fx, 1, 2000, None)
-            for check_id, _, _, check in _CHECKS:
-                passed, witness = check(ctx)
+            for check in CHECKS.values():
+                passed, witness = check.run(ctx)
                 assert type(passed) is bool and isinstance(witness, dict)
                 verdicts.add(passed)
         assert verdicts == {True, False}
@@ -265,6 +340,27 @@ class TestWitnesses:
         saved = [CheckResult(**e) for e in json.loads(GOLDEN.read_text())]
         for r in list(suite_results) + saved:
             assert verify_witness(r, fixtures, seed=1), r.id
+
+    def test_report_sweep_accepts_only_declared_fields(self, fixtures):
+        """Every leaf of the golden report but ``id``, edited each way
+        ``_leaf_edits`` gives: an accepted edit must be on a field its
+        registry entry declares unchecked, and each declared field must
+        be accepted by some edit."""
+        accepted = set()
+        for entry in json.loads(GOLDEN.read_text()):
+            for path, value in _leaves(entry):
+                for new in _leaf_edits(value) if path != ("id",) else ():
+                    edited = copy.deepcopy(entry)
+                    *parents, last = path
+                    node = edited
+                    for key in parents:
+                        node = node[key]
+                    node[last] = new
+                    if verify_witness(CheckResult(**edited), fixtures):
+                        accepted.add((entry["id"], path[:2]))
+        declared = {(check.id, ("witness", name))
+                    for check in CHECKS.values() for name in check.unchecked}
+        assert accepted == declared
 
     def test_radical_power_witness_exponents(self, suite_results):
         c2 = next(r for r in suite_results if r.id == "C2")
