@@ -1,7 +1,8 @@
 """Groebner machinery over prime fields.
 
 Reduction, Buchberger with a processed-pair budget, membership with
-re-verifiable cofactor witnesses, radical membership, elimination,
+re-verifiable cofactor witnesses (over one reusable tracked basis, from
+the extended Buchberger algorithm), radical membership, elimination,
 ring-map kernels via graph ideals, and Jacobian smoothness certificates.
 The heavy loops run in a kernel backend, and ``_run_kernel`` is the one
 place that calls one: on the selected backend (compiled when available),
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import backend as _backend
 from .errors import ContextError, EngineError
@@ -75,12 +76,16 @@ def _run_kernel(nvars: int, p: int, order: MonomialOrder,
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis, leading monomials descending."""
+    """Reduced Groebner basis, leading monomials descending; a tracked one
+    also holds its inputs and, ignored by ``==``, each element's cofactor
+    term maps over them (``rows``)."""
 
     ring: PolyRing
     polynomials: tuple[Polynomial, ...]
     pairs_processed: int
     backend: str
+    generators: tuple[Polynomial, ...] | None = None
+    rows: list | None = field(default=None, compare=False)
 
     def __iter__(self):
         return iter(self.polynomials)
@@ -113,6 +118,8 @@ class CombinationWitness:
         return self.remainder.is_zero()
 
     def verify(self) -> bool:
+        if len(self.cofactors) != len(self.generators):
+            return False
         ring = self.remainder.ring
         sums = dict(self.remainder._terms)
         for cof, gen in zip(self.cofactors, self.generators):
@@ -231,49 +238,42 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
 
 
 def _buchberger_tracked(gens: Sequence[Polynomial], budget: int | None):
-    """Pure-kernel Buchberger with cofactors over the original generators.
-
-    Returns ``(basis, reps, pairs)`` as in
-    ``_kernel_pure.buchberger_tracked``: the basis as polynomials, the
-    cofactor rows as term maps.
-    """
+    """Pure-kernel Buchberger: a ``GroebnerBasis`` that also keeps each
+    element's cofactor row over ``gens``, zero generators included."""
     ring = _common_ring(list(gens))
-    (basis, reps, pairs, _), _ = _run_kernel(
+    (basis, rows, pairs, _), name = _run_kernel(
         ring.nvars, ring.p, ring.order, "pure", "buchberger_tracked",
         [g._terms for g in gens], budget=budget)
-    return [Polynomial._raw(ring, t) for t in basis], reps, pairs
+    polys = tuple(Polynomial._raw(ring, t) for t in basis)
+    return GroebnerBasis(ring=ring, polynomials=polys, pairs_processed=pairs,
+                         backend=name, generators=tuple(gens), rows=rows)
 
 
 def ideal_member(f: Polynomial, gens, budget: int | None = DEFAULT_BUDGET,
                  witness: bool = False, backend_name: str | None = None):
     """Decide membership of f in the ideal generated by ``gens``.
 
-    With ``witness=True`` returns ``(bool, CombinationWitness | None)``;
-    the witness expresses f over the generators exactly as given (or over
-    the basis polynomials when a GroebnerBasis is passed) and re-verifies
-    by expansion.  Without, returns a bare bool.
+    A list of generators becomes a basis first (tracked when ``witness``);
+    pass a basis to reuse it.  With ``witness=True`` returns ``(bool,
+    CombinationWitness)``; the witness expresses f over the generators as
+    given (over the basis polynomials for a basis without rows) and
+    re-verifies by expansion.  Without, returns a bare bool.
     """
-    if isinstance(gens, GroebnerBasis):
-        if not witness:
-            return reduce(f, gens, backend_name=backend_name).is_zero()
-        r, quots = reduce_tracked(f, gens)
-        return r.is_zero(), CombinationWitness(target=f,
-                                               generators=gens.polynomials,
-                                               cofactors=quots, remainder=r)
-    gens = list(gens)
+    if not isinstance(gens, GroebnerBasis):
+        gens = list(gens)
+        gens = (_buchberger_tracked(gens, budget) if witness else
+                buchberger(gens, budget=budget, backend_name=backend_name))
     if not witness:
-        gb = buchberger(gens, budget=budget, backend_name=backend_name)
-        return reduce(f, gb, backend_name=backend_name).is_zero()
-    basis, reps, _ = _buchberger_tracked(gens, budget)
-    r, quots = reduce_tracked(f, basis)
-    sums = [{} for _ in gens]  # cofactor k = sum_j quots[j] * reps[j][k]
-    for q, rep in zip(quots, reps):
-        for s, g in zip(sums, rep):
+        return reduce(f, gens, backend_name=backend_name).is_zero()
+    r, quots = reduce_tracked(f, gens)
+    if gens.rows is None:
+        return r.is_zero(), CombinationWitness(f, gens.polynomials, quots, r)
+    sums = [{} for _ in gens.generators]  # k: sum_j quots[j] * rows[j][k]
+    for q, row in zip(quots, gens.rows):
+        for s, g in zip(sums, row):
             add_product(s, q._terms, g)
     cofactors = tuple(Polynomial._from_sums(f.ring, s) for s in sums)
-    wit = CombinationWitness(target=f, generators=tuple(gens),
-                             cofactors=cofactors, remainder=r)
-    return r.is_zero(), wit
+    return r.is_zero(), CombinationWitness(f, gens.generators, cofactors, r)
 
 
 def radical_member(f: Polynomial, gens: Sequence[Polynomial],

@@ -26,9 +26,9 @@ from .derivations import (apply, chart_transform, fixed_locus_ideal,
 from .errors import BudgetExceeded, EngineError
 from .fixtures import CHARTS, FixtureSet, load_fixtures, patched_text
 from .groebner import (DEFAULT_BUDGET, SMOOTH, SMOOTH_ON_LOCUS,
-                       CombinationWitness, frobenius_seeds, ideal_member,
-                       jacobian_minors, jacobian_smoothness, radical_member,
-                       ring_map_kernel)
+                       CombinationWitness, _buchberger_tracked,
+                       frobenius_seeds, ideal_member, jacobian_minors,
+                       jacobian_smoothness, radical_member, ring_map_kernel)
 from .rings import (Polynomial, dehomogenize, laurent_normalize, parse_poly,
                     substitute)
 
@@ -76,13 +76,16 @@ class CheckResult:
 class Check:
     """One check.  ``recheck(ctx, witness)`` searches nothing; ``None``
     marks a search-free check, whose ``run`` must give ``(True, witness)``.
-    ``notes`` join the witness; ``unchecked``: skipped field -> reason."""
+    ``keys``: a re-checked witness's top-level keys, the ``notes`` (which
+    join the witness) and ``unchecked`` (skipped field -> reason) among
+    them."""
 
     id: str
     description: str
     anchor: str
     run: Callable
     recheck: Callable | None = None
+    keys: frozenset = frozenset()
     notes: dict = field(default_factory=dict)
     unchecked: dict = field(default_factory=dict)
 
@@ -93,8 +96,9 @@ class Check:
                 or result.paper_anchor != self.anchor
                 or any(w[k] != v for k, v in self.notes.items())):
             return False
-        return (ctx.rerun(self.id) == (True, w) if self.recheck is None
-                else self.recheck(ctx, w))
+        if self.recheck is None:
+            return ctx.rerun(self.id) == (True, w)
+        return w.keys() == self.keys and self.recheck(ctx, w)
 
 
 def _wit_json(w: CombinationWitness) -> dict:
@@ -246,14 +250,16 @@ def _check_c2(ctx: SuiteContext) -> tuple[bool, dict]:
     minors, printed = ctx.fixed_minors()
     witness: dict = {"minors": list(printed),
                      "radical": {}, "powers": {}}
+    basis = None
     for name in fx.ring.variables[1:]:
         xi = fx.ring.gen(name)
         witness["radical"][name] = radical_member(
             xi, minors, budget=ctx.budget, backend_name=ctx.backend_name)
+        # Not before x1's radical test: a tight budget must stop that first.
+        if basis is None:
+            basis = _buchberger_tracked(minors, ctx.budget)
         for k in range(1, 11):
-            inside, wit = ideal_member(xi**k, minors, budget=ctx.budget,
-                                       witness=True,
-                                       backend_name=ctx.backend_name)
+            inside, wit = ideal_member(xi**k, basis, witness=True)
             if inside:
                 witness["powers"][name] = {"exponent": k,
                                            "witness": _wit_json(wit)}
@@ -339,10 +345,9 @@ def _check_c7(ctx: SuiteContext) -> tuple[bool, dict]:
     passed = True
     for side, targets, gens in (("computed_in_expected", computed, expected),
                                 ("expected_in_computed", expected, computed)):
+        basis = _buchberger_tracked(gens, ctx.budget)
         for t in targets:
-            member, wit = ideal_member(t, gens, budget=ctx.budget,
-                                       witness=True,
-                                       backend_name=ctx.backend_name)
+            member, wit = ideal_member(t, basis, witness=True)
             witness["membership"][side].append(_wit_json(wit))
             passed = passed and member
     return passed, witness
@@ -525,6 +530,10 @@ def _check_c14(ctx: SuiteContext) -> tuple[bool, dict]:
 # -- witness re-verification (expansion and evaluation only) ------------------
 
 
+_COMBINATION_KEYS = frozenset({"target", "generators", "cofactors",
+                               "remainder"})
+
+
 def _parse_canonical(ring, text: str) -> Polynomial:
     """Saved polynomial text, parsed; it must print back to itself, so an
     equal polynomial in other text proves nothing."""
@@ -537,9 +546,10 @@ def _parse_canonical(ring, text: str) -> Polynomial:
 def _proves(wit: dict, target: Polynomial, generators: list[str],
             parsed) -> bool:
     """Whether a saved witness states ``target`` over ``generators``
-    (``parsed``), remainder ``"0"``, as text, and expands back to it."""
-    if (wit["target"] != str(target) or wit["generators"] != generators
-            or wit["remainder"] != "0"):
+    (``parsed``), remainder ``"0"``, as text, with one cofactor per
+    generator and no other key, and expands back to it."""
+    if (wit.keys() != _COMBINATION_KEYS or wit["target"] != str(target)
+            or wit["generators"] != generators or wit["remainder"] != "0"):
         return False
     ring = target.ring
     return CombinationWitness(
@@ -556,8 +566,9 @@ def _reverify_c2(ctx: SuiteContext, w: dict) -> bool:
             or w["radical"] != dict.fromkeys(names, True)
             or w["powers"].keys() != set(names)):
         return False
-    return all(_proves(entry["witness"], ring.gen(name)**entry["exponent"],
-                       printed, minors)
+    return all(entry.keys() == {"exponent", "witness"}
+               and _proves(entry["witness"],
+                           ring.gen(name)**entry["exponent"], printed, minors)
                for name, entry in w["powers"].items())
 
 
@@ -565,11 +576,13 @@ def _reverify_c7(ctx: SuiteContext, w: dict) -> bool:
     ring = ctx.fx.presentation_ring
     expected = ctx.fx.presentation_rels
     printed = [str(r) for r in expected]
+    membership = w["membership"]
     if (w["expected_relations"] != printed
-            or w["ambient_variables"] != list(ring.variables)):
+            or w["ambient_variables"] != list(ring.variables)
+            or membership.keys() != {"computed_in_expected",
+                                     "expected_in_computed"}):
         return False
     computed = [_parse_canonical(ring, g) for g in w["computed_kernel"]]
-    membership = w["membership"]
     sides = ((membership["computed_in_expected"], computed, printed, expected),
              (membership["expected_in_computed"], expected,
               w["computed_kernel"], computed))
@@ -593,6 +606,10 @@ def _reverify_c12(ctx: SuiteContext, w: dict) -> bool:
 
 _PAIRS = "a pair count is known only by redoing the basis search"
 
+#: Top-level keys of a passing smoothness witness, before its own fields.
+_SMOOTH_KEYS = frozenset({"verdict", "codim", "relations", "minors", "locus",
+                          "pairs_processed", "unit_witness"})
+
 CHECKS = {check.id: check for check in (
     Check("C1", "The vector field's fifth operator power vanishes on every "
                 "variable.",
@@ -600,7 +617,8 @@ CHECKS = {check.id: check for check in (
     Check("C2", "The radical of the fixed-locus ideal contains the last "
                 "three coordinates.",
           "single fixed point at the first coordinate point",
-          _check_c2, _reverify_c2),
+          _check_c2, _reverify_c2,
+          keys=frozenset({"minors", "radical", "powers"})),
     Check("C3", "Both degree-5 invariants are homogeneous and annihilated "
                 "by the vector field.",
           "the two quintic invariants lie in the field's kernel", _check_c3),
@@ -617,12 +635,16 @@ CHECKS = {check.id: check for check in (
                 "expected relations, two-sidedly.",
           "relations presenting the chart-x3 subalgebra over the fifth "
           "powers", _check_c7, _reverify_c7,
+          keys=frozenset({"ambient_variables", "computed_kernel",
+                          "expected_relations", "pairs_processed",
+                          "membership", "assumed_background"}),
           notes=_BACKGROUND_NOTE,
           unchecked={"pairs_processed": _PAIRS}),
     Check("C8", "The chart-x3 subalgebra presentation defines a smooth "
                 "scheme.",
           "smoothness of the chart-x3 subalgebra",
           *_smoothness(SMOOTH, (), _c8_relations),
+          keys=_SMOOTH_KEYS | {"relations_source"},
           unchecked={"pairs_processed": _PAIRS,
                      "relations_source": "either source is sound: the "
                      "certificate is re-checked over the saved relations"}),
@@ -631,6 +653,7 @@ CHECKS = {check.id: check for check in (
           "smoothness of the chart-x2 subalgebra above the vanishing of the "
           "last fifth-power coordinate",
           *_smoothness(SMOOTH_ON_LOCUS, ("w",), _c9_relations),
+          keys=_SMOOTH_KEYS | {"elimination_pairs", "assumed_background"},
           notes=_BACKGROUND_NOTE,
           unchecked={"pairs_processed": _PAIRS, "elimination_pairs": _PAIRS}),
     Check("C10", "The chart-x1 subalgebra is smooth at every point above the "
@@ -639,6 +662,8 @@ CHECKS = {check.id: check for check in (
           "later fifth-power coordinates",
           *_smoothness(SMOOTH_ON_LOCUS, ("v", "w"), _c10_relations,
                        _c10_substituted),
+          keys=_SMOOTH_KEYS | {"certified_by_substitution",
+                               "assumed_background", "completeness_note"},
           notes={**_BACKGROUND_NOTE, **_COMPLETENESS_NOTE},
           unchecked={"pairs_processed": _PAIRS}),
     Check("C11", "The degree-5 kernel has dimension 12 and contains the four "
@@ -649,6 +674,8 @@ CHECKS = {check.id: check for check in (
                  "and has chi = K2 = 5.",
           "an invariant quintic with chi and canonical self-intersection 5",
           _check_c12, _reverify_c12,
+          keys=frozenset({"element", "draws", "field_image",
+                          "base_point_value", "quintic_invariants"}),
           unchecked={"draws": "the number of draws depends on the seed, "
                      "which the report does not hold"}),
     Check("C13", "Invariants descend through the degree-5 torsor to "

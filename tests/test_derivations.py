@@ -1,5 +1,7 @@
 """Derivations: Leibniz application, iteration, charts, graded kernels."""
 
+import hashlib
+
 import pytest
 
 from godeaux.derivations import (Derivation, apply, chart_transform,
@@ -94,6 +96,19 @@ class TestGradedKernel:
             assert vector_reduce(R4.gen(i) ** 5, basis).is_zero()
         assert vector_reduce(fx.k1, basis).is_zero()
         assert vector_reduce(fx.k2, basis).is_zero()
+
+    @pytest.mark.parametrize("degree,dimension,digest", [
+        (6, 17, "444631ef43b8201a58332eb097dde5faa606b0e7123e458478238ad0169ff7ba"),
+        (7, 24, "a84b78e840cb824d6d743f549d1f6924cb8823c3960a8e9da4a15766890c1cf1"),
+        (12, 91, "7eeb019831fb5bd9f9f134a4c5edd5deb28cb70381079e437fc265d14c411b6a"),
+    ])
+    def test_printed_basis_above_degree_five(self, field, degree, dimension,
+                                             digest):
+        # sha256 of the newline-joined printed basis
+        basis = graded_kernel(field, degree)
+        assert len(basis) == dimension
+        text = "\n".join(str(f) for f in basis)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_degree_one(self, field):
         basis = graded_kernel(field, 1)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -636,6 +637,18 @@ class TestMembership:
 
     def test_bare_bool_form(self):
         assert ideal_member(p2("x^2 - y"), [p2("x^2 - y")]) is True
+
+    def test_tracked_basis_input_matches_generators(self):
+        gens = [p2("x^2 - y"), R2.zero(), p2("y^2 - 1")]
+        gb = groebner._buchberger_tracked(gens, None)
+        assert gb.generators == tuple(gens) and len(gb.rows) == len(gb)
+        for f in (p2("x^4 - 1"), p2("x*y^2 - x"), p2("x")):
+            assert ideal_member(f, gb, witness=True) == \
+                ideal_member(f, gens, witness=True)
+        plain = buchberger(gens, backend_name="pure")
+        assert (gb.polynomials, gb.pairs_processed) == \
+            (plain.polynomials, plain.pairs_processed)
+        assert hash(gb) == hash(replace(gb, rows=None))
 
     def test_groebner_basis_input(self):
         gb = buchberger([p2("x^2 - y"), p2("y^2 - 1")])

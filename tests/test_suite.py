@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from godeaux import backend, suite
+from godeaux import _kernel_pure, backend, suite
 from godeaux.errors import ParseError
 from godeaux.fixtures import keyvals, load_fixtures
 from godeaux.suite import (BUDGET_EXCEEDED, CHECK_IDS, CHECKS, FAIL,
@@ -19,6 +19,8 @@ from godeaux.suite import (BUDGET_EXCEEDED, CHECK_IDS, CHECKS, FAIL,
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 MUTATION_REPORTS = Path(__file__).parent / "data" / "mutation_reports.json"
+BUDGET_SWEEP_SHA256 = ("044c04e819cf168bb6941a5f82fa1a85"
+                       "957a02209f981d4caef39ec76dd1cdcd")
 
 
 # -- witness tamperings that a sound re-verification must reject -------------
@@ -145,6 +147,39 @@ def _padded_element(w):
     w["element"] += " "
 
 
+# Witnesses with a key or a cofactor too many or too few.
+
+def _extra_key(w):
+    w["extra"] = "0"
+
+
+def _surplus_cofactor(w):
+    _combination(w)["cofactors"].append("x1")
+
+
+def _surplus_zero_cofactor(w):
+    _combination(w)["cofactors"].append("0")
+
+
+def _trailing_zero_cofactors_dropped(w):
+    cofactors = _combination(w)["cofactors"]
+    assert cofactors[-1] == "0"
+    while cofactors[-1] == "0":
+        cofactors.pop()
+
+
+def _pairs_deleted(w):
+    del w["pairs_processed"]
+
+
+def _draws_deleted(w):
+    del w["draws"]
+
+
+def _elimination_pairs_deleted(w):
+    del w["elimination_pairs"]
+
+
 TAMPERINGS = (
     ("C8", _unit_witness_from_remainder),
     ("C9", _unit_witness_from_remainder),
@@ -177,6 +212,17 @@ TAMPERINGS = (
     ("C7", _padded_cofactor),
     ("C10", _padded_cofactor),
     ("C12", _padded_element),
+    ("C7", _extra_key),
+    ("C9", _extra_key),
+    ("C12", _extra_key),
+    ("C2", _surplus_cofactor),
+    ("C2", _trailing_zero_cofactors_dropped),
+    ("C7", _surplus_zero_cofactor),
+    ("C9", _surplus_zero_cofactor),
+    ("C7", _pairs_deleted),
+    ("C8", _pairs_deleted),
+    ("C12", _draws_deleted),
+    ("C9", _elimination_pairs_deleted),
 )
 
 
@@ -188,6 +234,16 @@ def _leaves(node, path=()):
             yield from _leaves(child, path + (key,))
     else:
         yield path, node
+
+
+def _dicts(node, path=()):
+    """(path, dict) of every dict inside a parsed JSON value."""
+    if isinstance(node, dict):
+        yield path, node
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _dicts(child, path + (key,))
 
 
 def _leaf_edits(value):
@@ -345,8 +401,9 @@ class TestWitnesses:
         """Every leaf of the golden report but ``id``, edited each way
         ``_leaf_edits`` gives: an accepted edit must be on a field its
         registry entry declares unchecked, and each declared field must
-        be accepted by some edit."""
-        accepted = set()
+        be accepted by some edit.  Every dict in a witness, with each key
+        deleted in turn and with one key added: none may be accepted."""
+        accepted, key_edits = set(), []
         for entry in json.loads(GOLDEN.read_text()):
             for path, value in _leaves(entry):
                 for new in _leaf_edits(value) if path != ("id",) else ():
@@ -358,9 +415,32 @@ class TestWitnesses:
                     node[last] = new
                     if verify_witness(CheckResult(**edited), fixtures):
                         accepted.add((entry["id"], path[:2]))
+            for path, found in _dicts(entry["witness"]):
+                for drop in [*found, None]:
+                    edited = copy.deepcopy(entry)
+                    node = edited["witness"]
+                    for key in path:
+                        node = node[key]
+                    if drop is None:
+                        node["extra"] = "0"
+                    else:
+                        del node[drop]
+                    if verify_witness(CheckResult(**edited), fixtures):
+                        key_edits.append((entry["id"], path, drop))
         declared = {(check.id, ("witness", name))
                     for check in CHECKS.values() for name in check.unchecked}
         assert accepted == declared
+        assert key_edits == []
+
+    def test_registry_keys_hold_notes_and_unchecked(self, suite_results):
+        for r in suite_results:
+            check = CHECKS[r.id]
+            if check.recheck is None:
+                assert check.keys == frozenset(), r.id
+            else:
+                assert r.witness.keys() == check.keys, r.id
+                assert check.notes.keys() | check.unchecked.keys() \
+                    <= check.keys, r.id
 
     def test_radical_power_witness_exponents(self, suite_results):
         c2 = next(r for r in suite_results if r.id == "C2")
@@ -538,6 +618,46 @@ class TestSharedCache:
 
 
 class TestBudgets:
+    def test_budget_exceeded_reports_are_pinned(self):
+        # sha256 of C2's and C7's JSON reports, concatenated over the
+        # budgets; C2 builds its tracked basis only after x1's radical
+        # test, and this pins that order
+        budgets = [*range(1, 60), 100, 200, 500]
+        for name in ("pure", "compiled"):
+            text = "".join(
+                report(run_all(seed=1, budget=b, only=("C2", "C7"),
+                               backend_name=name), "json")
+                for b in budgets)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == BUDGET_SWEEP_SHA256, name
+
+    def test_one_tracked_basis_per_generator_list(self, monkeypatch):
+        # Buchberger runs with cofactor tracking, per check: C2 reuses one
+        # basis of its minors for every power, C7 one per side, and C8-C10
+        # each run their unit stage once more, tracked
+        current = []
+        counts = {}
+        tracked = _kernel_pure.buchberger_tracked
+
+        def counted(*args, **kwargs):
+            counts[current[-1]] = counts.get(current[-1], 0) + 1
+            return tracked(*args, **kwargs)
+
+        def labelled(check):
+            def run(ctx):
+                current.append(check.id)
+                return check.run(ctx)
+            return replace(check, run=run)
+
+        monkeypatch.setattr(_kernel_pure, "buchberger_tracked", counted)
+        for check in list(CHECKS.values()):
+            monkeypatch.setitem(CHECKS, check.id, labelled(check))
+        for name in ("pure", "compiled"):
+            counts.clear()
+            assert report(run_all(seed=1, backend_name=name), "json") == \
+                GOLDEN.read_text()
+            assert counts == {"C2": 1, "C7": 2, "C8": 1, "C9": 1, "C10": 1}
+
     def test_tiny_budget_reports_in_place(self):
         results = run_all(seed=1, budget=1, only=("C7",))
         (r,) = results
