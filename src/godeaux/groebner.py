@@ -227,7 +227,8 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
     Raises BudgetExceeded when more than ``budget`` S-pairs are processed;
     pass ``budget=None`` to run unbounded.
     """
-    ring = _common_ring(list(gens))
+    gens = list(gens)
+    ring = _common_ring(gens)
     live = [g._terms for g in gens if g._terms]
     (basis_terms, pairs), name = _run_kernel(
         ring.nvars, ring.p, ring.order, backend_name, "buchberger", live,
@@ -240,7 +241,8 @@ def buchberger(gens: Sequence[Polynomial], budget: int | None = DEFAULT_BUDGET,
 def _buchberger_tracked(gens: Sequence[Polynomial], budget: int | None):
     """Pure-kernel Buchberger: a ``GroebnerBasis`` that also keeps each
     element's cofactor row over ``gens``, zero generators included."""
-    ring = _common_ring(list(gens))
+    gens = list(gens)
+    ring = _common_ring(gens)
     (basis, rows, pairs, _), name = _run_kernel(
         ring.nvars, ring.p, ring.order, "pure", "buchberger_tracked",
         [g._terms for g in gens], budget=budget)
@@ -438,21 +440,23 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
 
 
 def _determinant(matrix: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
+    """Cofactor expansion along row 0, all products summed into one map."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
+    sums = {}
     if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    total = ring.zero()
-    rest = matrix[1:]
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        sub = [row[:j] + row[j + 1:] for row in rest]
-        cof = entry * _determinant(sub, ring)
-        total = total + cof if j % 2 == 0 else total - cof
-    return total
+        (a, b), (c, d) = matrix
+        add_product(sums, a._terms, d._terms)
+        add_product(sums, {e: -v for e, v in b._terms.items()}, c._terms)
+        return Polynomial._from_sums(ring, sums)
+    for j, entry in enumerate(matrix[0]):
+        if entry._terms:
+            sub = [row[:j] + row[j + 1:] for row in matrix[1:]]
+            add_product(sums, {e: -v if j % 2 else v
+                               for e, v in entry._terms.items()},
+                        _determinant(sub, ring)._terms)
+    return Polynomial._from_sums(ring, sums)
 
 
 def jacobian_minors(gens: Sequence[Polynomial], codim: int) -> list[Polynomial]:

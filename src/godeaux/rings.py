@@ -238,12 +238,6 @@ class Polynomial:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def items_sorted(self) -> list:
-        """Terms as ``(exponents, coefficient)``, largest monomial first."""
-        key = self.ring.sort_key
-        return sorted(self._terms.items(), key=lambda t: key(t[0]),
-                      reverse=True)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -347,17 +341,21 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """f**n by squaring below p; from n = p on, f^n is
+        ``frobenius_power(f ** (n // p)) * f ** (n % p)``, as f^p =
+        frobenius_power(f) over F_p.  ``substitute`` takes its powers here,
+        so C10's relations ``S^p - twist(image)`` re-check with no squaring.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        p = self.ring.p
+        if n >= p:
+            high = frobenius_power(self ** (n // p))
+            return high * self ** (n % p) if n % p else high
+        if n < 2:
+            return self if n else self.ring.one()
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -499,7 +497,12 @@ def laurent_normalize(f: Polynomial, var, exponent: int) -> Polynomial:
 
 def substitute(f: Polynomial, target_ring: PolyRing,
                images: Sequence[Polynomial]) -> Polynomial:
-    """Apply the ring map sending each source variable to its image."""
+    """Apply the ring map sending each source variable to its image.
+
+    Each image power comes from ``**`` once per call, so a p-th power is
+    ``frobenius_power(image)`` (f^p over F_p), as in C10's relations
+    ``S^p - twist(image)``.  All terms sum unreduced into one map.
+    """
     if len(images) != f.ring.nvars:
         raise ContextError("need one image per source variable")
     for g in images:
@@ -507,29 +510,24 @@ def substitute(f: Polynomial, target_ring: PolyRing,
             raise ContextError("images must live in the target ring")
     if f.ring.p != target_ring.p:
         raise ContextError("characteristics differ")
-    power_cache: dict[tuple[int, int], Polynomial] = {}
-
-    def var_power(i: int, e: int) -> Polynomial:
-        got = power_cache.get((i, e))
-        if got is None:
-            if e == 1:
-                got = images[i]
-            elif e % 2:
-                got = var_power(i, e - 1) * images[i]
-            else:
-                h = var_power(i, e // 2)
-                got = h * h
-            power_cache[(i, e)] = got
-        return got
-
-    total = target_ring.zero()
+    zero = (0,) * target_ring.nvars
+    powers = {}  # (i, e) -> the term map of images[i] ** e
+    sums = {}
     for exps, c in f._terms.items():
-        term = target_ring.constant(c)
+        factors = []
         for i, e in enumerate(exps):
             if e:
-                term = term * var_power(i, e)
-        total = total + term
-    return total
+                g = powers.get((i, e))
+                if g is None:
+                    g = powers[i, e] = (images[i] ** e)._terms
+                factors.append(g)
+        term = {zero: c}
+        for g in factors[:-1]:
+            prod = {}
+            add_product(prod, term, g)
+            term = prod
+        add_product(sums, term, factors[-1] if factors else {zero: 1})
+    return Polynomial._from_sums(target_ring, sums)
 
 
 def monomial_basis(ring: PolyRing, degree: int) -> list[tuple]:
@@ -631,19 +629,17 @@ def format_poly(f: Polynomial) -> str:
     """Canonical text: terms largest-first, least non-negative residues."""
     if f.is_zero():
         return "0"
-    ring = f.ring
+    terms = f._terms
+    names = f.ring.variables
     pieces = []
-    for exps, c in f.items_sorted():
-        factors = []
-        for name, e in zip(ring.variables, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
+    for exps in sorted(terms, key=f.ring.order.key, reverse=True):
+        c = terms[exps]
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(names, exps) if e)
+        if not mono:
             pieces.append(str(c))
         elif c == 1:
-            pieces.append("*".join(factors))
+            pieces.append(mono)
         else:
-            pieces.append(f"{c}*" + "*".join(factors))
+            pieces.append(f"{c}*{mono}")
     return " + ".join(pieces)

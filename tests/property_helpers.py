@@ -81,13 +81,73 @@ def leibniz(n: int = CASE_TARGET):
     return n, failures[:5]
 
 
+def _ref_power(f, n):
+    """f**n as n-fold ``_ref_mul``: no squaring and no Frobenius."""
+    out = f.ring.one()
+    for _ in range(n):
+        out = _ref_mul(out, f)
+    return out
+
+
 def frobenius_oracle(n: int = CASE_TARGET):
+    """``frobenius_power(f)`` against five-fold ``_ref_mul``: ``f ** 5``
+    itself goes through ``frobenius_power``, so it cannot be the oracle."""
     rng = random.Random(303)
     failures = []
     for i in range(n):
         f = _random_poly(rng, _R3, 3, 3)
-        if frobenius_power(f) != f ** 5:
-            failures.append(f"case {i}: frobenius_power != f**5")
+        if frobenius_power(f) != _ref_power(f, 5):
+            failures.append(f"case {i}: frobenius_power != f*f*f*f*f")
+    return n, failures[:5]
+
+
+def power_oracle(n: int = CASE_TARGET):
+    """``f ** k`` against k-fold ``_ref_mul`` over p in {2, 3, 5, 7}, with k
+    running through 0..2p^2+1: k = p, k = p^2 and every mix of base-p
+    digits up to three of them.  Negative and non-int exponents raise."""
+    rng = random.Random(1313)
+    rings = {p: PolyRing(("x", "y"), p, DEGREVLEX) for p in (2, 3, 5, 7)}
+    failures = []
+    for i in range(n):
+        p = (2, 3, 5, 7)[i % 4]
+        k = i // 4 % (2 * p * p + 2)
+        ring = rings[p]
+        f = ring.from_terms({(rng.randrange(3), rng.randrange(3)):
+                             rng.randrange(p) for _ in range(rng.randrange(1, 4))})
+        if f ** k != _ref_power(f, k):
+            failures.append(f"case {i}: ({f}) ** {k} over F_{p} differs from "
+                            f"{k}-fold multiplication")
+        for bad in (-1 - k, k + 0.5):
+            if _outcome(f.__pow__, bad) is not ValueError:
+                failures.append(f"case {i}: ** {bad!r} does not raise ValueError")
+    return n, failures[:5]
+
+
+def substitute_oracle(n: int = CASE_TARGET):
+    """``substitute`` against the sum of c * prod image_i ** e_i built from
+    ``_ref_mul`` and ``_ref_add`` alone, with exponents up to 2p + 1 so that
+    the Frobenius split of ``**`` is on the path."""
+    rng = random.Random(1414)
+    failures = []
+    target = PolyRing(("s", "t"), 5, DEGREVLEX)
+    for i in range(n):
+        source = (_R3, PolyRing(("u",), 5, LEX))[i % 2]
+        f = source.from_terms({tuple(rng.randrange(12) for _ in range(source.nvars)):
+                               rng.randrange(5) for _ in range(rng.randrange(4))})
+        images = [target.from_terms({(rng.randrange(3), rng.randrange(3)):
+                                     rng.randrange(5)
+                                     for _ in range(rng.randrange(3))})
+                  for _ in range(source.nvars)]
+        want = target.zero()
+        for exps, c in f._terms.items():
+            term = target.constant(c)
+            for g, e in zip(images, exps):
+                term = _ref_mul(term, _ref_power(g, e))
+            want = _ref_add(want, term)
+        got = substitute(f, target, images)
+        if got != want:
+            failures.append(f"case {i}: substitute({f}) differs from the "
+                            f"reference ({got} != {want})")
     return n, failures[:5]
 
 
@@ -933,6 +993,8 @@ SUITES = {
     "ring_axioms": ring_axioms,
     "leibniz": leibniz,
     "frobenius_oracle": frobenius_oracle,
+    "power_oracle": power_oracle,
+    "substitute_oracle": substitute_oracle,
     "reduce_idempotence": reduce_idempotence,
     "spair_vanishing": spair_vanishing,
     "kernel_closure": kernel_closure,
@@ -947,6 +1009,7 @@ SUITES = {
 
 #: Suites the acceptance gate requires to reach CASE_TARGET cases.
 REQUIRED_SUITES = ("ring_axioms", "leibniz", "frobenius_oracle",
+                   "power_oracle", "substitute_oracle",
                    "reduce_idempotence", "spair_vanishing", "kernel_closure",
                    "chart_compatibility", "ring_fastpath_oracle")
 

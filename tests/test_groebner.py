@@ -1,5 +1,6 @@
 """Groebner engine: bases, membership, elimination, kernels, smoothness."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -63,6 +64,20 @@ class TestBuchberger:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             buchberger([])
+
+    @pytest.mark.parametrize("name", ["pure", "compiled"])
+    def test_iterator_of_generators(self, name):
+        # gens is read once, so an iterator is not used up before the kernel
+        gb = buchberger(iter([p2("x^2 - y"), p2("y^2 - 1")]), backend_name=name)
+        assert [str(f) for f in gb] == ["x^2 + 4*y", "y^2 + 4"]
+        assert gb.backend == name
+
+    def test_tracked_iterator_of_generators(self):
+        gens = [p2("x^2 - y"), p2("y^2 - 1")]
+        gb = groebner._buchberger_tracked(iter(gens), None)
+        assert [str(f) for f in gb] == ["x^2 + 4*y", "y^2 + 4"]
+        assert gb.generators == tuple(gens)
+        assert gb.backend == "pure"
 
     def test_zero_generators_dropped(self):
         gb = buchberger([p2("x"), R2.zero()])
@@ -770,6 +785,23 @@ class TestJacobianMinors:
     def test_full_rank_linear_system(self):
         minors = jacobian_minors([p2("x + y"), p2("x - y")], 2)
         assert [str(m) for m in minors] == ["3"]  # det [[1,1],[1,-1]] = -2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_determinant_is_the_leibniz_expansion(self, n):
+        rng = random.Random(n)
+        for _ in range(30):
+            matrix = [[R3.from_terms({tuple(rng.randrange(3) for _ in range(3)):
+                                      rng.randrange(5)
+                                      for _ in range(rng.randrange(4))})
+                       for _ in range(n)] for _ in range(n)]
+            want = R3.zero()
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                term = R3.constant(-1 if inversions % 2 else 1)
+                for row, col in enumerate(perm):
+                    term = term * matrix[row][col]
+                want = want + term
+            assert groebner._determinant(matrix, R3) == want
 
     def test_codim_bounds(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,18 @@ def test_frobenius_oracle(property_outcomes):
     assert failures == []
 
 
+def test_power_oracle(property_outcomes):
+    cases, failures = property_outcomes["power_oracle"]
+    assert cases >= 1000
+    assert failures == []
+
+
+def test_substitute_oracle(property_outcomes):
+    cases, failures = property_outcomes["substitute_oracle"]
+    assert cases >= 1000
+    assert failures == []
+
+
 def test_reduce_idempotence(property_outcomes):
     cases, failures = property_outcomes["reduce_idempotence"]
     assert cases >= 1000

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from godeaux import _kernel_pure, backend, suite
+from godeaux import (_kernel_pure, backend, derivations, groebner, rings,
+                     suite)
 from godeaux.errors import ParseError
 from godeaux.fixtures import keyvals, load_fixtures
 from godeaux.suite import (BUDGET_EXCEEDED, CHECK_IDS, CHECKS, FAIL,
@@ -396,6 +397,26 @@ class TestWitnesses:
         saved = [CheckResult(**e) for e in json.loads(GOLDEN.read_text())]
         for r in list(suite_results) + saved:
             assert verify_witness(r, fixtures, seed=1), r.id
+
+    def test_reverify_term_products_pinned(self, monkeypatch):
+        # A work pin with no clock: the term products summed by
+        # rings.add_product while the golden report re-verifies against
+        # fresh fixtures.  A change that moves it regenerates the number
+        # and says why in CHANGES.md.
+        real = rings.add_product
+        products = 0
+
+        def counting(sums, a, b):
+            nonlocal products
+            products += len(a) * len(b)
+            real(sums, a, b)
+
+        for module in (rings, groebner, derivations):
+            monkeypatch.setattr(module, "add_product", counting)
+        fx = load_fixtures()
+        saved = [CheckResult(**e) for e in json.loads(GOLDEN.read_text())]
+        assert all(verify_witness(r, fx, seed=1) for r in saved)
+        assert products == 655
 
     def test_report_sweep_accepts_only_declared_fields(self, fixtures):
         """Every leaf of the golden report but ``id``, edited each way
