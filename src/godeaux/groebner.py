@@ -445,11 +445,6 @@ def _determinant(matrix: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
     if n == 1:
         return matrix[0][0]
     sums = {}
-    if n == 2:
-        (a, b), (c, d) = matrix
-        add_product(sums, a._terms, d._terms)
-        add_product(sums, {e: -v for e, v in b._terms.items()}, c._terms)
-        return Polynomial._from_sums(ring, sums)
     for j, entry in enumerate(matrix[0]):
         if entry._terms:
             sub = [row[:j] + row[j + 1:] for row in matrix[1:]]

@@ -510,8 +510,8 @@ def substitute(f: Polynomial, target_ring: PolyRing,
             raise ContextError("images must live in the target ring")
     if f.ring.p != target_ring.p:
         raise ContextError("characteristics differ")
-    zero = (0,) * target_ring.nvars
-    powers = {}  # (i, e) -> the term map of images[i] ** e
+    one = target_ring.one()
+    powers = {}  # (i, e) -> images[i] ** e
     sums = {}
     for exps, c in f._terms.items():
         factors = []
@@ -519,14 +519,13 @@ def substitute(f: Polynomial, target_ring: PolyRing,
             if e:
                 g = powers.get((i, e))
                 if g is None:
-                    g = powers[i, e] = (images[i] ** e)._terms
+                    g = powers[i, e] = images[i] ** e
                 factors.append(g)
-        term = {zero: c}
-        for g in factors[:-1]:
-            prod = {}
-            add_product(prod, term, g)
-            term = prod
-        add_product(sums, term, factors[-1] if factors else {zero: 1})
+        *init, last = factors or [one]
+        term = target_ring.constant(c)
+        for g in init:
+            term = term * g
+        add_product(sums, term._terms, last._terms)
     return Polynomial._from_sums(target_ring, sums)
 
 
