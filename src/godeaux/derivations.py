@@ -2,8 +2,9 @@
 
 A derivation is stored by its images on the variables and applied through
 linearity and the Leibniz rule.  Includes p-fold iteration (the additivity
-test), transforms to affine charts of projective space, graded-kernel
-linear algebra, and the fixed-locus ideal of the induced vector field.
+test), transforms to affine charts of projective space, graded kernels
+by one sparse elimination over F_p, and the fixed-locus ideal of the
+induced vector field.
 """
 
 from __future__ import annotations
@@ -124,54 +125,20 @@ def chart_transform(delta: Derivation, chart,
     return Derivation(chart_ring, images)
 
 
-def _nullspace_echelon(matrix: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Reduced-echelon basis of the right nullspace of ``matrix`` over F_p.
-
-    Columns are taken in the given order (descending monomial order by the
-    callers), and eliminated right to left.  A pivot row's other entries
-    then lie in free columns left of its pivot, so the vector of a free
-    column c is 1 at c and nonzero elsewhere only in pivot columns right
-    of c: it leads at c, no leading position appears in another vector,
-    and the vectors come out in order of their leading column.
-    """
-    rows = [row[:] for row in matrix if any(row)]
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in reversed(range(ncols)):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                factor = rows[k][c]
-                rows[k] = [(a - factor * b) % p for a, b in zip(rows[k], rows[r])]
-        pivots[c] = r
-        r += 1
-    out = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        vec = [0] * ncols
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-rows[pr][c]) % p
-        out.append(vec)
-    return out
-
-
 def graded_kernel(delta: Derivation, degree: int) -> list[Polynomial]:
-    """Echelonized basis of the degree-``degree`` part of ker(delta).
+    """Reduced echelon basis of the degree-``degree`` part of ker(delta).
 
-    Exact linear algebra over F_p on the monomial basis; the result is
-    reduced (each leading monomial occurs in exactly one basis element)
-    and ordered with the largest leading monomial first.
+    Sparse elimination over F_p: one row ``{column: coefficient}`` per
+    output monomial, columns in ``monomial_basis`` order (largest first),
+    column c holding the image of monomial c.  A row pivots on its
+    rightmost column: it is reduced by the row already installed there,
+    or made monic and installed.  Back-reduction in ascending column
+    order leaves each pivot row with entries only at its pivot and at
+    free columns left of it, so the vector of a free column c is 1 at c
+    and -entry at each pivot column right of c.  It leads at c, and the
+    vectors come largest leading monomial first.  The reduced echelon
+    basis of a subspace is unique, so any correct elimination returns
+    this same list.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -182,18 +149,38 @@ def graded_kernel(delta: Derivation, degree: int) -> list[Polynomial]:
     monos = monomial_basis(ring, degree)  # descending
     index = {m: k for k, m in enumerate(monos)}
     p = ring.p
-    # Row r = output monomial, column c = input monomial.
-    matrix = [[0] * len(monos) for _ in monos]
+    rows: dict[int, dict[int, int]] = {}
     for c, m in enumerate(monos):
-        img = apply(delta, ring.monomial(m))
-        for e, coeff in img._terms.items():
-            matrix[index[e]][c] = coeff
-    kernel = _nullspace_echelon(matrix, len(monos), p)
-    out = []
-    for vec in kernel:
-        terms = {monos[c]: v for c, v in enumerate(vec) if v}
-        out.append(Polynomial._raw(ring, terms))
-    return out
+        for e, coeff in apply(delta, ring.monomial(m))._terms.items():
+            rows.setdefault(index[e], {})[c] = coeff
+
+    def subtract(row, factor, pivot_row):
+        for k, v in pivot_row.items():
+            if w := (row.get(k, 0) - factor * v) % p:
+                row[k] = w
+            else:
+                row.pop(k, None)
+
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows.values():
+        while row:
+            c = max(row)
+            if c not in pivots:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            subtract(row, row[c], pivots[c])
+    for c in sorted(pivots):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            subtract(row, row[k], pivots[k])
+    vectors: dict[int, dict[tuple, int]] = {
+        c: {monos[c]: 1} for c in range(len(monos)) if c not in pivots}
+    for c, row in pivots.items():
+        for k, v in row.items():
+            if k != c:
+                vectors[k][monos[c]] = p - v
+    return [Polynomial._raw(ring, terms) for terms in vectors.values()]
 
 
 def vector_reduce(f: Polynomial, echelon_basis: Sequence[Polynomial]) -> Polynomial:

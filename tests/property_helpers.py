@@ -13,7 +13,8 @@ import random
 
 from godeaux import _kernel_pure, backend, groebner
 from godeaux.backend import available_backends
-from godeaux.derivations import Derivation, apply, chart_transform, graded_kernel
+from godeaux.derivations import (Derivation, apply, chart_transform,
+                                 graded_kernel, vector_reduce)
 from godeaux.errors import BudgetExceeded, ContextError, EngineError
 from godeaux.fixtures import load_fixtures
 from godeaux.groebner import (CombinationWitness, KernelPresentation,
@@ -22,7 +23,8 @@ from godeaux.groebner import (CombinationWitness, KernelPresentation,
                               ring_map_kernel, spolynomial)
 from godeaux.rings import (DEGREVLEX, LEX, MonomialOrder, PolyRing,
                            Polynomial, block_order, dehomogenize,
-                           frobenius_power, parse_poly, substitute)
+                           frobenius_power, monomial_basis, parse_poly,
+                           substitute)
 
 CASE_TARGET = 1000
 
@@ -239,6 +241,61 @@ def chart_compatibility(n: int = CASE_TARGET):
         if not apply(charts[chart], fd).is_zero():
             failures.append(f"case {i}: dehomogenized element "
                             f"not invariant on chart {chart}")
+    return n, failures[:5]
+
+
+def _ref_graded_kernel(delta, degree):
+    """Kernel basis by leading-monomial reduction of the images, smallest
+    monomial first, carrying each preimage along: an image reduced to 0
+    leaves a kernel vector, inter-reduced against the earlier ones."""
+    ring, p = delta.ring, delta.ring.p
+    pivots = {}  # leading monomial of a reduced image -> (image, preimage)
+    kernel = []
+    for m in reversed(monomial_basis(ring, degree)):
+        pre = ring.monomial(m)
+        image = apply(delta, pre)
+        while not image.is_zero() and image.leading_monomial() in pivots:
+            g, h = pivots[image.leading_monomial()]
+            factor = ring.constant(image.leading_coefficient()
+                                   * pow(g.leading_coefficient(), p - 2, p))
+            image, pre = image - factor * g, pre - factor * h
+        if image.is_zero():
+            kernel.append(vector_reduce(pre, kernel))
+        else:
+            pivots[image.leading_monomial()] = image, pre
+    return kernel[::-1]
+
+
+def graded_kernel_oracle(n: int = CASE_TARGET):
+    """``graded_kernel`` against ``_ref_graded_kernel`` on random linear
+    derivations: p in {2, 3, 5, 7, 11}, 1-4 variables, degrevlex, lex and
+    block orders, degrees 0-6, every 25th derivation zero.  The printed
+    bases must agree, and delta must kill every returned vector."""
+    rng = random.Random(1515)
+    failures = []
+    for i in range(n):
+        p = (2, 3, 5, 7, 11)[i % 5]
+        nvars = 1 + i // 5 % 4
+        orders = (DEGREVLEX, LEX) + (
+            (block_order(rng.randrange(1, nvars)),) if nvars > 1 else ())
+        ring = PolyRing(("a", "b", "c", "d")[:nvars], p,
+                        orders[i // 20 % len(orders)])
+        units = [tuple(int(j == k) for k in range(nvars)) for j in range(nvars)]
+        images = [ring.from_terms({u: rng.randrange(p) for u in units
+                                   if i % 25 and rng.random() < 0.7})
+                  for _ in range(nvars)]
+        delta = Derivation(ring, images)
+        degree = rng.randrange(7)
+        got = _outcome(graded_kernel, delta, degree)
+        if isinstance(got, type):
+            failures.append(f"case {i}: graded_kernel raised {got.__name__}")
+            continue
+        want = _ref_graded_kernel(delta, degree)
+        if [str(f) for f in got] != [str(f) for f in want]:
+            failures.append(f"case {i}: degree-{degree} kernel of "
+                            f"{images} over F_{p} differs from the reference")
+        if not all(apply(delta, f).is_zero() for f in got):
+            failures.append(f"case {i}: a returned vector is not in the kernel")
     return n, failures[:5]
 
 
@@ -999,6 +1056,7 @@ SUITES = {
     "spair_vanishing": spair_vanishing,
     "kernel_closure": kernel_closure,
     "chart_compatibility": chart_compatibility,
+    "graded_kernel_oracle": graded_kernel_oracle,
     "cross_backend_mirror": cross_backend_mirror,
     "tracked_mirror": tracked_mirror,
     "packed_encoding": packed_encoding,
@@ -1011,7 +1069,8 @@ SUITES = {
 REQUIRED_SUITES = ("ring_axioms", "leibniz", "frobenius_oracle",
                    "power_oracle", "substitute_oracle",
                    "reduce_idempotence", "spair_vanishing", "kernel_closure",
-                   "chart_compatibility", "ring_fastpath_oracle")
+                   "chart_compatibility", "graded_kernel_oracle",
+                   "ring_fastpath_oracle")
 
 
 def run_all_property_suites() -> dict[str, tuple[int, list[str]]]:

@@ -78,7 +78,7 @@ def test_criterion_3_kernel_equality_and_unit_witness(suite_results,
 
 
 def test_criterion_4_property_campaigns(property_outcomes):
-    """Seven required randomized suites, >= 1000 cases each, no failures."""
+    """Every suite in ``REQUIRED_SUITES``: >= 1000 cases, no failures."""
     import property_helpers
     for name in property_helpers.REQUIRED_SUITES:
         cases, failures = property_outcomes[name]

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, formats, file handling."""
 
+import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +209,25 @@ class TestKernel:
         for line in lines:
             f = parse_poly(ring, line)
             assert str(f) == line
+
+    def test_degree_forty_under_a_memory_cap(self):
+        # n = 12341 monomials: a dense n x n matrix would need gigabytes,
+        # the sparse elimination fits in a 512 MiB address space.
+        cap = 512 << 20
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "godeaux.cli", "kernel",
+             str(SRC / "godeaux" / "data" / "vector_field.txt"),
+             "--degree", "40"],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "dimension = 2469"
+        assert hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest() == \
+            "59229a69b1c40fa38d941d3d5e93cd843fc1ec3f8fa2f3c37fb980f9cc3272ea"
 
 
 class TestGroebner:

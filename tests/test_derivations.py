@@ -101,6 +101,7 @@ class TestGradedKernel:
         (6, 17, "444631ef43b8201a58332eb097dde5faa606b0e7123e458478238ad0169ff7ba"),
         (7, 24, "a84b78e840cb824d6d743f549d1f6924cb8823c3960a8e9da4a15766890c1cf1"),
         (12, 91, "7eeb019831fb5bd9f9f134a4c5edd5deb28cb70381079e437fc265d14c411b6a"),
+        (25, 656, "2a6bf33748bb7c3d4770f3023dda1f862a7c9b48b22849206ac8514bc7475f11"),
     ])
     def test_printed_basis_above_degree_five(self, field, degree, dimension,
                                              digest):

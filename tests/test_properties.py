@@ -61,6 +61,12 @@ def test_chart_compatibility(property_outcomes):
     assert failures == []
 
 
+def test_graded_kernel_oracle(property_outcomes):
+    cases, failures = property_outcomes["graded_kernel_oracle"]
+    assert cases >= 1000
+    assert failures == []
+
+
 def test_cross_backend_mirror(property_outcomes):
     cases, failures = property_outcomes["cross_backend_mirror"]
     assert cases >= 100
