@@ -23,15 +23,13 @@ from .fixtures import keyvals, load_fixtures, strip_lines
 from .groebner import DEFAULT_BUDGET, buchberger
 from .rings import DEGREVLEX, LEX, PolyRing, is_prime, parse_poly
 from .suite import (BUDGET_EXCEEDED, CHECK_IDS, DEFAULT_SEED, PASS,
-                    CheckResult, report, run_all, verify_witness)
+                    REPORT_FIELDS, CheckResult, report, run_all,
+                    verify_witness)
 
 USAGE_EXIT = 2
 BUDGET_EXIT = 3
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-_RESULT_FIELDS = {"id", "description", "status", "witness", "paper_anchor"}
-
 
 _FLAGS = {  # settings key -> (flag, add_argument options)
     "p": ("--p", dict(type=int, default=5,
@@ -199,9 +197,13 @@ def cmd_verify(args, settings) -> int:
 
 
 def _load_report(path: str) -> list[CheckResult]:
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise _Usage(f"{path} is not a JSON report of `godeaux verify`: it "
+                     "nests too deeply") from None
     if not (isinstance(payload, list) and payload and all(
-            isinstance(e, dict) and set(e) == _RESULT_FIELDS
+            isinstance(e, dict) and e.keys() == set(REPORT_FIELDS)
             and e["id"] in CHECK_IDS and isinstance(e["witness"], dict)
             for e in payload)):
         raise _Usage(f"{path} is not a JSON report of `godeaux verify`")

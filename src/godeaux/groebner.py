@@ -392,17 +392,16 @@ def frobenius_seeds(source_ring: PolyRing, target_ring: PolyRing,
 def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
                     images: Sequence[Polynomial],
                     budget: int | None = DEFAULT_BUDGET,
-                    backend_name: str | None = None,
-                    seed: bool = True) -> KernelPresentation:
+                    backend_name: str | None = None) -> KernelPresentation:
     """Kernel of the ring map sending each source variable to its image.
 
     Builds the graph ideal (source_var - image) as term maps over the
-    target variables followed by the source ones, then eliminates the
-    target variables as ``eliminate`` does.  Frobenius-power seeds (see
-    ``frobenius_seeds``) are added to the same ideal when available; they
-    change nothing about the ideal and keep the pair count small on
-    p-th-power subring instances.  Every returned generator is
-    substitution-checked to actually vanish.
+    target variables followed by the source ones, adds the Frobenius-power
+    seeds (see ``frobenius_seeds``) whenever there are any, then eliminates
+    the target variables as ``eliminate`` does.  The seeds lie in the
+    graph ideal, so the answer is that of the plain graph ideal; they keep
+    the pair count small on p-th-power subring instances.  Every returned
+    generator is substitution-checked to actually vanish.
     """
     images = list(images)
     if len(images) != source_ring.nvars:
@@ -422,7 +421,7 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing,
     graph = [{zt + zs[:i] + (1,) + zs[i + 1:]: 1,
               **{e + zs: p - c for e, c in g._terms.items()}}
              for i, g in enumerate(images)]
-    seeds = frobenius_seeds(source_ring, target_ring, images) if seed else []
+    seeds = frobenius_seeds(source_ring, target_ring, images)
     graph.extend({zt + e: c for e, c in g._terms.items()} for g in seeds)
 
     kept, pairs, name = _eliminate(graph, nt + ns, p, nt, budget, backend_name)

@@ -13,7 +13,6 @@ two runs with equal seed produce byte-identical json reports.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 import time
@@ -53,6 +52,10 @@ _COMPLETENESS_NOTE = {"completeness_note": (
     "not mechanized here")}
 
 
+#: The keys of one result in a JSON report, in ``to_json_dict`` order.
+REPORT_FIELDS = ("id", "description", "status", "witness", "paper_anchor")
+
+
 @dataclass
 class CheckResult:
     id: str
@@ -63,13 +66,7 @@ class CheckResult:
     elapsed: float = 0.0  # wall seconds; diagnostic only, never serialized
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "status": self.status,
-            "witness": self.witness,
-            "paper_anchor": self.paper_anchor,
-        }
+        return {name: getattr(self, name) for name in REPORT_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -819,44 +816,4 @@ MUTATIONS = (
              "1 9 1", "1 8 1"),
     Mutation("de-rham-middle", "cohomology_tables.txt",
              "2 = 11", "2 = 10"),
-)
-
-
-# -- canned report tamperings --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tampering:
-    """One hand edit of a saved JSON report that re-verification rejects."""
-
-    name: str
-    check_id: str
-    path: tuple  # keys and list indices into the check's witness
-    old: object
-    new: object
-
-    def apply(self, payload: list) -> list:
-        """A copy of a parsed JSON report with this one value edited."""
-        payload = copy.deepcopy(payload)
-        node = next(e for e in payload if e["id"] == self.check_id)["witness"]
-        *parents, last = self.path
-        for key in parents:
-            node = node[key]
-        if node[last] != self.old:
-            raise ValueError(f"{self.name}: expected {self.old!r} at "
-                             f"{self.path}, found {node[last]!r}")
-        node[last] = self.new
-        return payload
-
-
-REPORT_TAMPERINGS = (
-    Tampering("edited-cofactor", "C2",
-              ("powers", "x2", "witness", "cofactors", 2), "1", "2"),
-    Tampering("edited-remainder", "C9", ("unit_witness", "remainder"),
-              "0", "1"),
-    Tampering("edited-radical-exponent", "C2", ("powers", "x1", "exponent"),
-              4, 3),
-    Tampering("negative-radical-exponent", "C2",
-              ("powers", "x1", "exponent"), 4, -1),
-    Tampering("padded-target", "C9", ("unit_witness", "target"), "1", "1 "),
 )

@@ -11,15 +11,15 @@ from __future__ import annotations
 import os
 import random
 
-from godeaux import _kernel_pure, backend, groebner
+import oracle
+from godeaux import _kernel_pure, backend
 from godeaux.backend import available_backends
 from godeaux.derivations import (Derivation, apply, chart_transform,
                                  graded_kernel, vector_reduce)
-from godeaux.errors import BudgetExceeded, ContextError, EngineError
+from godeaux.errors import BudgetExceeded, ContextError
 from godeaux.fixtures import load_fixtures
 from godeaux.groebner import (CombinationWitness, KernelPresentation,
-                              _common_ring, buchberger, eliminate,
-                              frobenius_seeds, radical_member, reduce,
+                              buchberger, eliminate, radical_member, reduce,
                               ring_map_kernel, spolynomial)
 from godeaux.rings import (DEGREVLEX, LEX, MonomialOrder, PolyRing,
                            Polynomial, block_order, dehomogenize,
@@ -83,30 +83,33 @@ def leibniz(n: int = CASE_TARGET):
     return n, failures[:5]
 
 
-def _ref_power(f, n):
-    """f**n as n-fold ``_ref_mul``: no squaring and no Frobenius."""
-    out = f.ring.one()
-    for _ in range(n):
-        out = _ref_mul(out, f)
+def _power(f, k):
+    """The term map of f**k as k-fold oracle multiplication: no squaring
+    and no Frobenius."""
+    out = {(0,) * f.ring.nvars: 1}
+    for _ in range(k):
+        out = oracle.mul(out, f._terms, f.ring.p)
     return out
 
 
 def frobenius_oracle(n: int = CASE_TARGET):
-    """``frobenius_power(f)`` against five-fold ``_ref_mul``: ``f ** 5``
-    itself goes through ``frobenius_power``, so it cannot be the oracle."""
+    """``frobenius_power(f)`` against five-fold oracle multiplication:
+    ``f ** 5`` itself goes through ``frobenius_power``, so it cannot be the
+    oracle."""
     rng = random.Random(303)
     failures = []
     for i in range(n):
         f = _random_poly(rng, _R3, 3, 3)
-        if frobenius_power(f) != _ref_power(f, 5):
+        if frobenius_power(f)._terms != _power(f, 5):
             failures.append(f"case {i}: frobenius_power != f*f*f*f*f")
     return n, failures[:5]
 
 
 def power_oracle(n: int = CASE_TARGET):
-    """``f ** k`` against k-fold ``_ref_mul`` over p in {2, 3, 5, 7}, with k
-    running through 0..2p^2+1: k = p, k = p^2 and every mix of base-p
-    digits up to three of them.  Negative and non-int exponents raise."""
+    """``f ** k`` against k-fold oracle multiplication over p in {2, 3, 5,
+    7}, with k running through 0..2p^2+1: k = p, k = p^2 and every mix of
+    base-p digits up to three of them.  Negative and non-int exponents
+    raise."""
     rng = random.Random(1313)
     rings = {p: PolyRing(("x", "y"), p, DEGREVLEX) for p in (2, 3, 5, 7)}
     failures = []
@@ -116,7 +119,7 @@ def power_oracle(n: int = CASE_TARGET):
         ring = rings[p]
         f = ring.from_terms({(rng.randrange(3), rng.randrange(3)):
                              rng.randrange(p) for _ in range(rng.randrange(1, 4))})
-        if f ** k != _ref_power(f, k):
+        if (f ** k)._terms != _power(f, k):
             failures.append(f"case {i}: ({f}) ** {k} over F_{p} differs from "
                             f"{k}-fold multiplication")
         for bad in (-1 - k, k + 0.5):
@@ -126,9 +129,9 @@ def power_oracle(n: int = CASE_TARGET):
 
 
 def substitute_oracle(n: int = CASE_TARGET):
-    """``substitute`` against the sum of c * prod image_i ** e_i built from
-    ``_ref_mul`` and ``_ref_add`` alone, with exponents up to 2p + 1 so that
-    the Frobenius split of ``**`` is on the path."""
+    """``substitute`` against the sum of c * prod image_i ** e_i in the
+    oracle's dict arithmetic, with exponents up to 2p + 1 so that the
+    Frobenius split of ``**`` is on the path."""
     rng = random.Random(1414)
     failures = []
     target = PolyRing(("s", "t"), 5, DEGREVLEX)
@@ -140,16 +143,16 @@ def substitute_oracle(n: int = CASE_TARGET):
                                      rng.randrange(5)
                                      for _ in range(rng.randrange(3))})
                   for _ in range(source.nvars)]
-        want = target.zero()
+        want = {}
         for exps, c in f._terms.items():
-            term = target.constant(c)
+            term = {(0, 0): c}
             for g, e in zip(images, exps):
-                term = _ref_mul(term, _ref_power(g, e))
-            want = _ref_add(want, term)
+                term = oracle.mul(term, _power(g, e), 5)
+            want = oracle.axpy(want, 1, (0, 0), term, 5)
         got = substitute(f, target, images)
-        if got != want:
+        if got._terms != want:
             failures.append(f"case {i}: substitute({f}) differs from the "
-                            f"reference ({got} != {want})")
+                            f"oracle ({got._terms} != {want})")
     return n, failures[:5]
 
 
@@ -345,9 +348,9 @@ def _term_order_failures(kern, gens, f, kind, shuffler):
 
 def cross_backend_mirror(n: int = 150):
     """Identical bases, normal forms (modulo the basis and modulo the raw
-    generators), and budget behaviour per backend, and on each kernel the
-    same output for sorted and shuffled input term lists, in all three
-    order kinds."""
+    generators), and budget behaviour per backend, each basis the budget
+    did not stop equal to the oracle's, and on each kernel the same output
+    for sorted and shuffled input term lists, in all three order kinds."""
     if "compiled" not in available_backends():
         return 0, ["compiled backend unavailable"]
     rng = random.Random(808)
@@ -375,6 +378,10 @@ def cross_backend_mirror(n: int = 150):
         if outcomes["pure"] != outcomes["compiled"]:
             failures.append(f"case {i}: backend outcomes differ")
         elif outcomes["pure"][0] == "basis":
+            key = oracle.lex if ring is lex_ring else oracle.degrevlex
+            if [g._terms for g in outcomes["pure"][1]] != oracle.groebner(
+                    [g._terms for g in gens], ring.p, key):
+                failures.append(f"case {i}: the basis is not the oracle's")
             gb = buchberger(gens, budget=2000)
             f = _random_poly(rng, ring, 4, 3)
             nf_pure = reduce(f, gb, backend_name="pure")
@@ -594,108 +601,22 @@ def boundary_mirror():
     return cases, failures[:5]
 
 
-# -- reference loops for the ring fast paths -----------------------------------
-#
-# The term-by-term loops that ``*``, ``-``, ``derivations.apply`` and
-# ``CombinationWitness.verify`` used before they summed into one dict and
-# reduced mod p once, and that ``Polynomial.derivative`` and
-# ``dehomogenize`` used before they became one comprehension each.  They
-# are kept here only as the oracle.
+# -- the ring fast paths against the oracle's dict arithmetic -----------------
 
 
-def _ref_mul(f, g):
-    """f * g, reducing and pruning after every product."""
-    if f.ring != g.ring:
-        raise ContextError("operands belong to different rings")
-    p = f.ring.p
-    a, b = f._terms, g._terms
-    if len(a) > len(b):
-        a, b = b, a
+def _derivative(f, i, p):
+    """d/dx_i of a term map: lowering one exponent meets no other term."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] % p
+            for e, c in f.items() if c * e[i] % p}
+
+
+def _setting_to_one(f, i, p):
+    """The term map of f with x_i set to 1, like terms summed."""
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = (out.get(e, 0) + ca * cb) % p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return Polynomial._raw(f.ring, out)
-
-
-def _ref_add(f, g):
-    if f.ring != g.ring:
-        raise ContextError("operands belong to different rings")
-    p = f.ring.p
-    out = dict(f._terms)
-    for e, c in g._terms.items():
-        s = (out.get(e, 0) + c) % p
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return Polynomial._raw(f.ring, out)
-
-
-def _ref_sub(f, g):
-    """f + (-g), through an intermediate negation."""
-    p = g.ring.p
-    return _ref_add(f, Polynomial._raw(g.ring,
-                                       {e: p - c for e, c in g._terms.items()}))
-
-
-def _ref_derivative(f, i):
-    """d/dx_i, summing and pruning as if two terms could meet."""
-    p = f.ring.p
-    out = {}
-    for exps, c in f._terms.items():
-        e = exps[i]
-        cc = (c * e) % p
-        if e == 0 or cc == 0:
-            continue
-        new = exps[:i] + (e - 1,) + exps[i + 1:]
-        s = (out.get(new, 0) + cc) % p
-        if s:
-            out[new] = s
-        else:
-            out.pop(new, None)
-    return Polynomial._raw(f.ring, out)
-
-
-def _ref_dehomogenize_terms(f, i):
-    """The terms of f with x_i set to 1, summed and pruned one by one."""
-    p = f.ring.p
-    out = {}
-    for exps, c in f._terms.items():
-        new = exps[:i] + exps[i + 1:]
-        s = (out.get(new, 0) + c) % p
-        if s:
-            out[new] = s
-        else:
-            out.pop(new, None)
+    for e, c in f.items():
+        rest = e[:i] + e[i + 1:]
+        out = oracle.axpy(out, c, rest, {(0,) * len(rest): 1}, p)
     return out
-
-
-def _ref_apply(delta, f):
-    """A derivative, a product and a sum per variable."""
-    if f.ring != delta.ring:
-        raise ContextError("polynomial belongs to a different ring")
-    total = delta.ring.zero()
-    for i, g in enumerate(delta.images):
-        if g.is_zero():
-            continue
-        part = f.derivative(i)
-        if not part.is_zero():
-            total = _ref_add(total, _ref_mul(g, part))
-    return total
-
-
-def _ref_verify(witness):
-    """The running sum, copied once per generator."""
-    acc = witness.remainder
-    for cof, gen in zip(witness.cofactors, witness.generators):
-        acc = _ref_add(acc, _ref_mul(cof, gen))
-    return acc == witness.target
 
 
 def _fastpath_poly(rng, ring):
@@ -716,7 +637,7 @@ def _outcome(fn, *args):
 def ring_fastpath_oracle(n: int = CASE_TARGET):
     """``*``, ``-``, ``apply``, ``CombinationWitness.verify``,
     ``derivative``, ``dehomogenize`` and parsing printed text against the
-    reference loops above: 1-8 variables, p in {2, 5, 2147483629}, all
+    oracle's dict arithmetic: 1-8 variables, p in {2, 5, 2147483629}, all
     three orders, zero and single-term operands, and operands from another
     ring, which must raise ``ContextError``."""
     rng = random.Random(1212)
@@ -750,11 +671,14 @@ def ring_fastpath_oracle(n: int = CASE_TARGET):
         gens = [_fastpath_poly(rng, ring) for _ in range(rng.randrange(4))]
         cofs = [_fastpath_poly(rng, ring) for _ in gens]
         rem = _fastpath_poly(rng, ring)
-        target = rem
+        expansion = rem._terms
         for c, b in zip(cofs, gens):
-            target = _ref_add(target, _ref_mul(c, b))
+            expansion = oracle.mul(c._terms, b._terms, p, expansion)
+        target = ring.from_terms(expansion)
         if rng.random() < 0.5:
-            target = _ref_add(target, _fastpath_poly(rng, ring))
+            junk = _fastpath_poly(rng, ring)._terms
+            target = ring.from_terms(oracle.axpy(expansion, 1, (0,) * nvars,
+                                                 junk, p))
         wit = CombinationWitness(target, tuple(gens), tuple(cofs), rem)
         k = i % nvars  # the variable to differentiate, or the chart
         top = max(map(sum, f._terms), default=0)
@@ -763,127 +687,88 @@ def ring_fastpath_oracle(n: int = CASE_TARGET):
         chart = dehomogenize(hom, k)._terms if nvars > 1 else {}
         mixed = CombinationWitness(target, tuple(gens) + (h,),
                                    tuple(cofs) + (f,), rem)
+        zero = (0,) * nvars
+        applied = {}
+        for j, image in enumerate(delta.images):
+            applied = oracle.mul(image._terms, _derivative(f._terms, j, p), p,
+                                 applied)
         pairs = (
-            ("*", f * g, _ref_mul(f, g)),
-            ("-", f - g, _ref_sub(f, g)),
-            ("int -", 3 - f, _ref_sub(ring.constant(3), f)),
-            ("apply", apply(delta, f), _ref_apply(delta, f)),
-            ("derivative", f.derivative(k), _ref_derivative(f, k)),
+            ("*", (f * g)._terms, oracle.mul(f._terms, g._terms, p)),
+            ("-", (f - g)._terms,
+             oracle.axpy(f._terms, p - 1, zero, g._terms, p)),
+            ("int -", (3 - f)._terms,
+             oracle.axpy({zero: 3 % p}, p - 1, zero, f._terms, p)),
+            ("apply", apply(delta, f)._terms, applied),
+            ("derivative", f.derivative(k)._terms,
+             _derivative(f._terms, k, p)),
             ("dehomogenize", chart,
-             _ref_dehomogenize_terms(hom, k) if nvars > 1 else {}),
-            ("verify", wit.verify(), _ref_verify(wit)),
+             _setting_to_one(hom._terms, k, p) if nvars > 1 else {}),
+            ("verify", wit.verify(), expansion == target._terms),
             ("parse", parse_poly(ring, str(f)), f),
             ("mixed ==", f == h, False),
             ("mixed *", _outcome(lambda: f * h), ContextError),
             ("mixed -", _outcome(lambda: f - h), ContextError),
             ("mixed apply", _outcome(apply, delta, h), ContextError),
             ("mixed verify", _outcome(mixed.verify), ContextError),
-            ("mixed ref verify", _outcome(_ref_verify, mixed), ContextError),
         )
         for label, got, want in pairs:
             if got != want or type(got) is not type(want):
                 failures.append(f"case {i}: {label} differs from the "
-                                f"reference ({got!r} != {want!r})")
+                                f"oracle ({got!r} != {want!r})")
     return n, failures[:5]
 
 
-# -- reference paths for the Groebner systems built as term lists -------------
-#
-# ``radical_member``, ``_eliminate`` and ``ring_map_kernel`` as they were
-# before they built their systems as kernel term lists: through an
-# auxiliary ring, its polynomials and ``buchberger``.  They are kept here
-# only as the oracle.
+# -- Groebner answers against the oracle --------------------------------------
 
 
-def _ref_radical_member(f, gens, budget, backend_name):
-    gens = list(gens)
-    ring = _common_ring([f] + gens)
-    aux = "_t"
-    while aux in ring.variables:
-        aux += "_"
-    ext = PolyRing(ring.variables + (aux,), ring.p, DEGREVLEX)
-
-    def lift(g):
-        return Polynomial._raw(ext, {e + (0,): c for e, c in g._terms.items()})
-
-    t = ext.gen(aux)
-    system = [lift(g) for g in gens if not g.is_zero()]
-    system.append(ext.one() - t * lift(f))
-    gb = buchberger(system, budget=budget, backend_name=backend_name)
-    return gb.is_unit_ideal()
+def _oracle_radical(f, gens):
+    """Whether 1 lies in (gens, 1 - T*f), T one more variable, last."""
+    n, p = f.ring.nvars, f.ring.p
+    lifted = [{e + (0,): c for e, c in g._terms.items()} for g in [f] + gens]
+    one = (0,) * (n + 1)
+    lifted[0] = oracle.axpy({one: 1}, p - 1, (0,) * n + (1,), lifted[0], p)
+    return oracle.groebner(lifted, p, oracle.degrevlex) == [{one: 1}]
 
 
-def _ref_eliminate(gens, drop, budget, backend_name):
-    """The eliminated generators and the block-order basis they came from."""
-    gens = list(gens)
-    ring = _common_ring(gens)
-    drop_idx = sorted({ring.var_index(v) for v in drop})
-    if not drop_idx:
-        raise ValueError("nothing to eliminate")
-    if len(drop_idx) >= ring.nvars:
-        raise ValueError("cannot eliminate every variable")
-    keep_idx = [i for i in range(ring.nvars) if i not in drop_idx]
-    perm = drop_idx + keep_idx  # position j of the work ring <- source var perm[j]
-    work = PolyRing([ring.variables[i] for i in perm], ring.p,
-                    block_order(len(drop_idx)))
-    target = PolyRing([ring.variables[i] for i in keep_idx], ring.p, DEGREVLEX)
-
-    def to_work(g):
-        return Polynomial._raw(work, {tuple(e[i] for i in perm): c
-                                      for e, c in g._terms.items()})
-
-    gb = buchberger([to_work(g) for g in gens if not g.is_zero()],
-                    budget=budget, backend_name=backend_name)
-    nd = len(drop_idx)
-    out = []
-    for f in gb.polynomials:
-        if all(all(v == 0 for v in e[:nd]) for e in f._terms):
-            out.append(Polynomial._raw(target, {e[nd:]: c
-                                                for e, c in f._terms.items()}))
-    return out, gb
+def _oracle_eliminate(gens, drop, nvars, p):
+    """The reduced basis of (gens) ∩ k[the variables not in ``drop``], as
+    term maps over those: by the block order with ``drop`` moved first,
+    keeping the elements none of whose terms holds a dropped variable."""
+    perm = drop + [i for i in range(nvars) if i not in drop]
+    nd = len(drop)
+    basis = oracle.groebner([{tuple(e[i] for i in perm): c
+                              for e, c in g.items()} for g in gens],
+                            p, oracle.block(nd))
+    return [{e[nd:]: c for e, c in g.items()} for g in basis
+            if not any(any(e[:nd]) for e in g)]
 
 
-def _ref_ring_map_kernel(source_ring, target_ring, images, budget,
-                         backend_name, seed):
-    images = list(images)
-    if len(images) != source_ring.nvars:
-        raise ContextError("need exactly one image per source variable")
-    for g in images:
-        if g.ring != target_ring:
-            raise ContextError("images must live in the target ring")
-    if source_ring.p != target_ring.p:
-        raise ContextError("characteristics differ")
-    overlap = set(source_ring.variables) & set(target_ring.variables)
-    if overlap:
-        raise ContextError(f"source and target variables overlap: {sorted(overlap)}")
+def _oracle_kernel(source, target, images):
+    """The reduced degrevlex basis of the kernel, as term maps: the plain
+    graph ideal (s_i - image_i) in k[t, s] with the t eliminated."""
+    nt, ns, p = target.nvars, source.nvars, target.p
+    units = [(0,) * (nt + i) + (1,) + (0,) * (ns - i - 1) for i in range(ns)]
+    graph = [oracle.axpy({unit: 1}, p - 1, (0,) * (nt + ns),
+                         {e + (0,) * ns: c for e, c in g._terms.items()}, p)
+             for unit, g in zip(units, images)]
+    return _oracle_eliminate(graph, list(range(nt)), nt + ns, p)
 
-    nt, ns = target_ring.nvars, source_ring.nvars
-    combined = PolyRing(target_ring.variables + source_ring.variables,
-                        target_ring.p, DEGREVLEX)
 
-    def lift_target(g):
-        return Polynomial._raw(combined, {e + (0,) * ns: c
-                                          for e, c in g._terms.items()})
-
-    def lift_source(g):
-        return Polynomial._raw(combined, {(0,) * nt + e: c
-                                          for e, c in g._terms.items()})
-
-    graph = []
-    for i, g in enumerate(images):
-        graph.append(lift_source(source_ring.gen(i)) - lift_target(g))
-    seeds = frobenius_seeds(source_ring, target_ring, images) if seed else []
-    graph.extend(lift_source(s) for s in seeds)
-
-    kept, gb = _ref_eliminate(graph, range(nt), budget, backend_name)
-    out = [Polynomial._raw(source_ring, g._terms) for g in kept]
-    for g in out:
-        if not substitute(g, target_ring, images).is_zero():
-            raise EngineError("internal error: eliminated generator fails the "
-                              "substitution check")
-    return KernelPresentation(source_ring=source_ring, generators=tuple(out),
-                              seeds=tuple(seeds), pairs_processed=gb.pairs_processed,
-                              backend=gb.backend)
+def _groebner_outcome(fn, *args):
+    """``("answer", value)`` with each polynomial as its term map,
+    ``("budget", pairs, basis size)`` or ``("raised", exception type)``."""
+    try:
+        value = fn(*args)
+    except BudgetExceeded as exc:
+        return "budget", exc.pairs_processed, exc.basis_size
+    except Exception as exc:  # compared, not swallowed
+        return "raised", type(exc)
+    if isinstance(value, KernelPresentation):
+        value = (value.source_ring, [g._terms for g in value.generators],
+                 [s._terms for s in value.seeds], value.pairs_processed)
+    elif isinstance(value, list):
+        value = [(g.ring.variables, g.ring.order, g._terms) for g in value]
+    return "answer", value
 
 
 def _system_poly(rng, ring, max_terms=3, max_degree=2, min_degree=0):
@@ -918,14 +803,16 @@ def _radical_case(rng, i, ring):
 
 
 def _elimination_case(rng, i, ring, other):
-    """(gens, drop); one case in seven is invalid in one of five ways, and
-    the all-zero system is valid."""
+    """(gens, drop, error); one case in seven is invalid in one of four
+    ways, raising ``error``, or is the all-zero system, which is valid."""
     gens = [_system_poly(rng, ring) for _ in range(rng.randint(2, 3))]
     if i % 5 == 0:
         gens.insert(rng.randrange(len(gens) + 1), ring.zero())
     picked = rng.sample(range(ring.nvars), rng.randint(1, min(2, ring.nvars - 1)))
     drop = picked if i % 2 else [ring.variables[j] for j in picked]
     bad = i // 7 % 5 if i % 7 == 3 else None
+    error = (ValueError, ValueError, ValueError, ContextError, None,
+             None)[5 if bad is None else bad]
     if bad == 0:
         drop = ()
     elif bad == 1:
@@ -936,13 +823,14 @@ def _elimination_case(rng, i, ring, other):
         gens.append(_system_poly(rng, other))
     elif bad == 4:
         gens = [ring.zero()] * len(gens)
-    return gens, drop
+    return gens, drop, error
 
 
 def _kernel_case(rng, i, nvars, p, order):
-    """(source ring, target ring, images): 1-2 target variables, and on
-    p <= 7 in three cases of five each target variable's p-th power among
-    the images, so Frobenius seeds exist.  One case in seven is invalid."""
+    """(source ring, target ring, images, error): 1-2 target variables,
+    and on p <= 7 in three cases of five each target variable's p-th power
+    among the images, so Frobenius seeds exist.  One case in seven is
+    invalid, raising ``error``."""
     nt = rng.randint(1, min(2, nvars - 1))
     ns = nvars - nt
     target = PolyRing([f"t{j}" for j in range(nt)], p, order)
@@ -959,90 +847,78 @@ def _kernel_case(rng, i, nvars, p, order):
         target = PolyRing(target.variables, 3 if p != 3 else 5, order)
         images = [target.one()] * ns
         source = PolyRing(source.variables, p, order)
-    return source, target, images
+    return source, target, images, None if bad is None else ContextError
 
 
 def groebner_fastpath_oracle(n: int = 240):
-    """``radical_member``, ``eliminate`` and ``ring_map_kernel`` against the
-    auxiliary-ring references above, on both backends: 2-5 variables, p in
-    {2, 5, 7, 2147483629}, degrevlex and lex rings (one with a variable
-    named ``_t``), drop sets of 1-2 variables by name and by index, plain
-    and Frobenius-seeded kernels, budget stops and invalid input.  The
-    answers, generator strings, exception types and messages, and every
-    kernel call (ring shape, basis, pair count and backend name) must be
-    equal; ``eliminate`` of an all-zero system must return ``[]``."""
+    """``radical_member``, ``eliminate`` and ``ring_map_kernel`` on both
+    backends against the oracle: 2-5 variables, p in {2, 5, 7,
+    2147483629}, degrevlex and lex rings (one with a variable named
+    ``_t``), drop sets of 1-2 variables by name and by index, kernels with
+    and without Frobenius seeds, budget stops and invalid input.  The
+    backends must agree on answers, pair counts, budget stops and
+    exception types, and an invalid case must raise its error.  Every
+    other answer must be the oracle's: the radical verdict, the reduced
+    basis of the eliminated ideal (``[]`` for an all-zero system), and
+    for a kernel that of the plain graph ideal, by which each seed must
+    reduce to 0."""
     if "compiled" not in available_backends():
         return 0, ["compiled backend unavailable"]
     rng = random.Random(1313)
     failures = []
     cases = 0
-    calls = []
-    real = groebner._run_kernel
-
-    def spy(nvars, p, order, backend_name, fn, *args, **kwargs):
-        out = real(nvars, p, order, backend_name, fn, *args, **kwargs)
-        calls.append((nvars, p, order, fn, repr(out)))  # key order counts
-        return out
-
-    def run(fn, *args):
-        calls.clear()
-        try:
-            value = fn(*args)
-        except Exception as exc:  # compared, not swallowed
-            value = (type(exc), str(exc))
-        if isinstance(value, KernelPresentation):
-            value = (value.source_ring.variables,
-                     [str(g) for g in value.generators],
-                     [str(g) for g in value.seeds], value.pairs_processed,
-                     value.backend)
-        elif isinstance(value, list):
-            value = [(g.ring.variables, g.ring.order, str(g)) for g in value]
-        return value, list(calls)
-
     rings = {}
-    groebner._run_kernel = spy
-    try:
-        for i in range(n):
-            nvars = rng.randint(2, 5)
-            p = (2, 5, 7, 2147483629)[i % 4]
-            order = (DEGREVLEX, LEX)[i // 4 % 2]
-            names = tuple(f"x{j}" for j in range(nvars - 1)) + (
-                ("_t",) if i % 13 == 0 else (f"x{nvars - 1}",))
-            for key in ((names, p, order), (names, 3, order)):
-                if key not in rings:
-                    rings[key] = PolyRing(*key)
-            ring, other = rings[names, p, order], rings[names, 3, order]
-            budget = 1 if i % 11 == 0 else 400
-            f, gens = _radical_case(rng, i, ring)
-            elim = _elimination_case(rng, i, ring, other)
-            source, target, images = _kernel_case(rng, i, nvars, p, order)
-            for name in ("pure", "compiled"):
-                ops = (
-                    ("radical_member", radical_member, _ref_radical_member,
-                     (f, gens, budget, name)),
-                    ("eliminate", eliminate,
-                     lambda *a: _ref_eliminate(*a)[0], (*elim, budget, name)),
-                    ("ring_map_kernel", ring_map_kernel, _ref_ring_map_kernel,
-                     (source, target, images, budget, name, i % 3 != 0)),
-                )
-                for label, new, ref, args in ops:
-                    cases += 1
-                    got = run(new, *args)
-                    if label == "eliminate" and elim[0] and all(
-                            g.is_zero() for g in elim[0]):
-                        want = ([], got[1])  # the reference raised here
-                    else:
-                        want = run(ref, *args)
-                    if got[0] != want[0]:
-                        failures.append(f"case {i} {name}: {label} differs "
-                                        f"from the reference ({got[0]!r} != "
-                                        f"{want[0]!r})")
-                    elif got[1] != want[1]:
-                        failures.append(f"case {i} {name}: {label} makes "
-                                        "other kernel calls than the "
-                                        "reference")
-    finally:
-        groebner._run_kernel = real
+    for i in range(n):
+        nvars = rng.randint(2, 5)
+        p = (2, 5, 7, 2147483629)[i % 4]
+        order = (DEGREVLEX, LEX)[i // 4 % 2]
+        names = tuple(f"x{j}" for j in range(nvars - 1)) + (
+            ("_t",) if i % 13 == 0 else (f"x{nvars - 1}",))
+        for key in ((names, p, order), (names, 3, order)):
+            if key not in rings:
+                rings[key] = PolyRing(*key)
+        ring, other = rings[names, p, order], rings[names, 3, order]
+        budget = 1 if i % 11 == 0 else 400
+        f, gens = _radical_case(rng, i, ring)
+        elim_gens, drop, elim_error = _elimination_case(rng, i, ring, other)
+        source, target, images, kernel_error = _kernel_case(rng, i, nvars,
+                                                            p, order)
+
+        def eliminated():
+            idx = sorted({d if isinstance(d, int) else names.index(d)
+                          for d in drop})
+            kept = tuple(v for j, v in enumerate(names) if j not in idx)
+            return [(kept, DEGREVLEX, t) for t in _oracle_eliminate(
+                [g._terms for g in elim_gens], idx, nvars, p)]
+
+        def kernel(got):
+            want = _oracle_kernel(source, target, images)
+            seeds = [oracle.normal_form(s, want, p, oracle.degrevlex)
+                     for s in got[2]]
+            return got[0] is source and got[1] == want and not any(seeds)
+
+        ops = (
+            ("radical_member", radical_member, (f, gens), None,
+             lambda got: got == _oracle_radical(f, gens)),
+            ("eliminate", eliminate, (elim_gens, drop), elim_error,
+             lambda got: got == eliminated()),
+            ("ring_map_kernel", ring_map_kernel, (source, target, images),
+             kernel_error, kernel),
+        )
+        for label, fn, args, error, agrees in ops:
+            got = [_groebner_outcome(fn, *args, budget, name)
+                   for name in ("pure", "compiled")]
+            cases += len(got)
+            if got[0] != got[1]:
+                failures.append(f"case {i}: {label} differs across backends "
+                                f"({got[0]!r} != {got[1]!r})")
+            elif error is not None or got[0][0] == "raised":
+                if got[0] != ("raised", error):
+                    failures.append(f"case {i}: {label} gave {got[0]!r}, "
+                                    f"not {error}")
+            elif got[0][0] == "answer" and not agrees(got[0][1]):
+                failures.append(f"case {i}: {label} differs from the oracle "
+                                f"({got[0][1]!r})")
     return cases, failures[:5]
 
 

@@ -13,7 +13,7 @@ import pytest
 from godeaux import backend, cli
 from godeaux.cli import main
 from godeaux.rings import DEGREVLEX, PolyRing, parse_poly
-from godeaux.suite import REPORT_TAMPERINGS
+from test_suite import TAMPERING_IDS, TAMPERINGS
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -37,6 +37,14 @@ x2^2 - x1*x3
 x2*x3
 x3^2
 """
+
+
+def _tampered(check_id, tampering):
+    """The golden report, parsed, with ``tampering`` applied to the witness
+    of ``check_id``."""
+    golden = json.loads(GOLDEN.read_text())
+    tampering(next(e for e in golden if e["id"] == check_id)["witness"])
+    return golden
 
 
 @pytest.fixture()
@@ -96,14 +104,14 @@ class TestReverify:
         assert "14 results: 14 verified, 0 rejected" in \
             capsys.readouterr().out
 
-    @pytest.mark.parametrize("tampering", REPORT_TAMPERINGS,
-                             ids=lambda t: t.name)
-    def test_tampered_report_exits_one(self, tampering, tmp_path, capsys):
-        golden = json.loads(GOLDEN.read_text())
-        path = self.write(tmp_path, tampering.apply(golden))
+    @pytest.mark.parametrize("check_id,tampering", TAMPERINGS,
+                             ids=TAMPERING_IDS)
+    def test_tampered_report_exits_one(self, check_id, tampering, tmp_path,
+                                       capsys):
+        path = self.write(tmp_path, _tampered(check_id, tampering))
         assert main(["reverify", path]) == 1
         out = capsys.readouterr().out
-        assert f"{tampering.check_id:<4} rejected" in out
+        assert f"{check_id:<4} rejected" in out
         assert "13 verified, 1 rejected" in out
 
     def test_witness_of_the_wrong_shape_is_rejected(self, tmp_path, capsys):
@@ -125,6 +133,14 @@ class TestReverify:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["reverify", str(tmp_path / "absent.json")]) == 2
 
+    def test_deeply_nested_file_exits_two(self, tmp_path, capsys):
+        # json's decoder raises RecursionError past the interpreter's limit
+        depth = 200000
+        path = self.write(tmp_path, "[" * depth + "]" * depth)
+        assert main(["reverify", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_calls_no_kernel(self, monkeypatch, capsys):
         def no_kernel(*args, **kwargs):
             raise AssertionError("reverify called a Groebner kernel")
@@ -145,8 +161,7 @@ class TestClosedStdout:
         report = GOLDEN
         if command == "reverify-tampered":
             report = tmp_path / "report.json"
-            golden = json.loads(GOLDEN.read_text())
-            report.write_text(json.dumps(REPORT_TAMPERINGS[0].apply(golden)))
+            report.write_text(json.dumps(_tampered(*TAMPERINGS[0])))
         argv = (["verify", "--only", "C3"] if command == "verify-C3"
                 else ["reverify", str(report)])
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -15,8 +15,8 @@ from godeaux import (_kernel_pure, backend, derivations, groebner, rings,
 from godeaux.errors import ParseError
 from godeaux.fixtures import keyvals, load_fixtures
 from godeaux.suite import (BUDGET_EXCEEDED, CHECK_IDS, CHECKS, FAIL,
-                           MUTATIONS, PASS, REPORT_TAMPERINGS, CheckResult,
-                           SuiteContext, report, run_all, verify_witness)
+                           MUTATIONS, PASS, CheckResult, SuiteContext, report,
+                           run_all, verify_witness)
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 MUTATION_REPORTS = Path(__file__).parent / "data" / "mutation_reports.json"
@@ -25,6 +25,24 @@ BUDGET_SWEEP_SHA256 = ("044c04e819cf168bb6941a5f82fa1a85"
 
 
 # -- witness tamperings that a sound re-verification must reject -------------
+
+
+def _edit(name, path, old, new):
+    """A tampering called ``name`` that sets the witness value at ``path``
+    (keys and list indices) from ``old`` to ``new``.  It raises ValueError
+    where the value is not ``old``, so a changed report cannot turn it into
+    an edit that proves nothing."""
+    def tamper(w):
+        *parents, last = path
+        for key in parents:
+            w = w[key]
+        if w[last] != old:
+            raise ValueError(f"{name}: expected {old!r} at {path}, "
+                             f"found {w[last]!r}")
+        w[last] = new
+
+    tamper.__name__ = name
+    return tamper
 
 
 def _unit_witness_from_remainder(w):
@@ -57,10 +75,6 @@ def _trivial_relations(w):
                              remainder="1")
 
 
-def _codim_one(w):
-    w["codim"] = 1
-
-
 def _forged_minor(w):
     w["minors"][0] = "1"
     gens = w["relations"] + w["minors"] + w["locus"]
@@ -83,10 +97,6 @@ def _edited_invariants(w):
     w["quintic_invariants"] = {"chi": 6, "k2": 7}
 
 
-def _edited_field_image(w):
-    w["field_image"] = "x1 + 1"
-
-
 def _edited_expected_relations(w):
     w["expected_relations"] = ["s"]
 
@@ -104,14 +114,6 @@ def _extra_radical_member(w):
     w["radical"]["x0"] = True
 
 
-def _negative_exponent(w):
-    w["powers"]["x1"]["exponent"] = -1
-
-
-def _fractional_exponent(w):
-    w["powers"]["x1"]["exponent"] = 2.5
-
-
 # Equal polynomials in text the engine does not print: saved text must be
 # canonical.
 
@@ -122,14 +124,6 @@ def _combination(w):
     if "membership" in w:
         return w["membership"]["computed_in_expected"][0]
     return w["unit_witness"]
-
-
-def _padded_unit_target(w):
-    w["unit_witness"]["target"] = "1 "
-
-
-def _product_unit_target(w):
-    w["unit_witness"]["target"] = "1*1"
 
 
 def _padded_remainder(w):
@@ -189,21 +183,27 @@ TAMPERINGS = (
     ("C7", _membership_emptied),
     ("C9", _unit_locus),
     ("C9", _trivial_relations),
-    ("C8", _codim_one),
+    ("C8", _edit("codim_one", ("codim",), 2, 1)),
     ("C9", _forged_minor),
     ("C10", _forged_minor),
     ("C9", _non_canonical_minor),
     ("C10", _non_canonical_minor),
     ("C12", _edited_invariants),
-    ("C12", _edited_field_image),
+    ("C12", _edit("edited_field_image", ("field_image",), "0", "x1 + 1")),
     ("C7", _edited_expected_relations),
     ("C10", _uncertified_relations),
     ("C7", _edited_ambient_variables),
     ("C2", _extra_radical_member),
-    ("C2", _negative_exponent),
-    ("C2", _fractional_exponent),
-    ("C9", _padded_unit_target),
-    ("C8", _product_unit_target),
+    ("C2", _edit("negative_exponent", ("powers", "x1", "exponent"), 4, -1)),
+    ("C2", _edit("fractional_exponent", ("powers", "x1", "exponent"), 4, 2.5)),
+    ("C2", _edit("edited_radical_exponent", ("powers", "x1", "exponent"),
+                 4, 3)),
+    ("C2", _edit("edited_cofactor",
+                 ("powers", "x2", "witness", "cofactors", 2), "1", "2")),
+    ("C9", _edit("edited_remainder", ("unit_witness", "remainder"), "0", "1")),
+    ("C9", _edit("padded_unit_target", ("unit_witness", "target"), "1", "1 ")),
+    ("C8", _edit("product_unit_target", ("unit_witness", "target"), "1",
+                 "1*1")),
     ("C2", _padded_remainder),
     ("C7", _product_remainder),
     ("C8", _padded_remainder),
@@ -225,6 +225,9 @@ TAMPERINGS = (
     ("C12", _draws_deleted),
     ("C9", _elimination_pairs_deleted),
 )
+
+#: The pytest ids of ``TAMPERINGS``: check id and tampering name.
+TAMPERING_IDS = [f"{c}-{t.__name__.strip('_')}" for c, t in TAMPERINGS]
 
 
 def _leaves(node, path=()):
@@ -368,8 +371,7 @@ class TestWitnesses:
         assert not verify_witness(flipped[0], patched, seed=1)
 
     @pytest.mark.parametrize("check_id,tampering", TAMPERINGS,
-                             ids=[f"{c}-{t.__name__.strip('_')}"
-                                  for c, t in TAMPERINGS])
+                             ids=TAMPERING_IDS)
     def test_reverify_rejects_tampered_witness(self, suite_results, fixtures,
                                                check_id, tampering):
         result = next(r for r in suite_results if r.id == check_id)
@@ -521,10 +523,6 @@ class TestSharedCache:
             witness = copy.deepcopy(result.witness)
             tampering(witness)
             cases.append((None, replace(result, witness=witness), False))
-        payload = json.loads(GOLDEN.read_text())
-        for tampering in REPORT_TAMPERINGS:
-            cases += [(None, CheckResult(**e), e["id"] != tampering.check_id)
-                      for e in tampering.apply(payload)]
         return cases
 
     @staticmethod
