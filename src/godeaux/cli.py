@@ -174,8 +174,19 @@ def _ring_from_input(meta: dict, body: list[str], settings: dict,
     return PolyRing(variables, p, _order_for(settings["order"]))
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout now.  A reader that stopped early is no
+    error: the rest of the output goes to devnull (CPython's SIGPIPE note),
+    and the command still finishes once, with its own exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_verify(args, settings) -> int:
@@ -188,7 +199,7 @@ def cmd_verify(args, settings) -> int:
                      f"{', '.join(CHECK_IDS)})")
     results = run_all(seed=settings["seed"], budget=settings["budget"],
                       only=[only] if only else None)
-    sys.stdout.write(report(results, settings["fmt"]))
+    _write(report(results, settings["fmt"]))
     if any(r.status == BUDGET_EXCEEDED for r in results):
         return BUDGET_EXIT
     if any(r.status != PASS for r in results):
@@ -217,9 +228,9 @@ def cmd_reverify(args, settings) -> int:
     for r in results:
         ok = verify_witness(r, fixtures)
         rejected += not ok
-        print(f"{r.id:<4} {'verified' if ok else 'rejected'}")
-    print(f"{len(results)} results: {len(results) - rejected} verified, "
-          f"{rejected} rejected")
+        _write(f"{r.id:<4} {'verified' if ok else 'rejected'}\n")
+    _write(f"{len(results)} results: {len(results) - rejected} verified, "
+           f"{rejected} rejected\n")
     return 1 if rejected else 0
 
 
@@ -236,8 +247,8 @@ def cmd_kernel(args, settings) -> int:
                     "dimension": len(basis)})
     else:
         for f in basis:
-            print(f)
-        print(f"dimension = {len(basis)}")
+            _write(f"{f}\n")
+        _write(f"dimension = {len(basis)}\n")
     return 0
 
 
@@ -257,7 +268,7 @@ def cmd_groebner(args, settings) -> int:
                     "pairs_processed": gb.pairs_processed})
     else:
         for g in gb.polynomials:
-            print(g)
+            _write(f"{g}\n")
     return 0
 
 
@@ -272,7 +283,7 @@ def cmd_invariants(args, settings) -> int:
         if settings["fmt"] == "json":
             _emit_json({"feasible": primes})
         else:
-            print(" ".join(str(q) for q in primes))
+            _write(" ".join(str(q) for q in primes) + "\n")
         return 0
     elif kind == "torsor":
         record = numerics.InvariantRecord(p=settings["p"], chi=args.chi,
@@ -287,7 +298,7 @@ def cmd_invariants(args, settings) -> int:
         _emit_json(payload)
     else:
         for key, value in payload.items():
-            print(f"{key} = {value}")
+            _write(f"{key} = {value}\n")
     return 0
 
 
@@ -327,17 +338,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     _refuse_early_flag(parser, argv)
     args = parser.parse_args(argv)
-    code = None
     try:
-        settings = _settings(args)
-        code = _COMMANDS[args.subcommand](args, settings)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # A reader that stopped early is no error.  Stdout goes to devnull
-        # (CPython's SIGPIPE note); a command cut short reruns there.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return main(argv) if code is None else code
+        return _COMMANDS[args.subcommand](args, _settings(args))
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -7,52 +7,31 @@ test modules (including the acceptance gate).
 Before anything imports ``godeaux``, the compiled kernel is made
 importable so that the tests compare both backends.  An extension
 already built next to the package (an install, or an in-place build) is
-used as it is.  Otherwise ``setup.py build_ext`` compiles the hand-written
-``src/godeaux/_kernel.c`` into ``tests/.build`` (reused while the C
-source and the interpreter's extension suffix are unchanged), and a
-meta-path finder resolves ``godeaux._kernel`` to that file.  Nothing is
-written under ``src/``: a kernel there would be imported by every
-process, including those that must run on the pure kernel.
+used as it is.  Otherwise ``kernel_build.build`` compiles the
+hand-written ``src/godeaux/_kernel.c`` into ``tests/.build`` with the
+interpreter's own compiler and flags (reused while the source and the
+commands are unchanged), and ``kernel_build.KernelFinder`` resolves
+``godeaux._kernel`` to that file.  Nothing is written under ``src/``: a
+kernel there would be imported by every process, including those that
+must run on the pure kernel.
 """
 
 from __future__ import annotations
 
-import hashlib
-import importlib.abc
 import importlib.machinery
 import importlib.util
 import json
-import os
-import shutil
-import subprocess
 import sys
-import sysconfig
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+import kernel_build
+
 ROOT = Path(__file__).resolve().parent.parent
-KERNEL_C = ROOT / "src" / "godeaux" / "_kernel.c"
 BUILD_DIR = Path(__file__).resolve().parent / ".build"
-KERNEL_MODULE = "godeaux._kernel"
-EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
-
-
-class KernelFinder(importlib.abc.MetaPathFinder):
-    """Resolves ``godeaux._kernel`` to one extension file, nothing else."""
-
-    def __init__(self, so_path: str):
-        self.so_path = so_path
-
-    def find_spec(self, fullname, path=None, target=None):
-        if fullname != KERNEL_MODULE:
-            return None
-        loader = importlib.machinery.ExtensionFileLoader(fullname,
-                                                         self.so_path)
-        return importlib.util.spec_from_file_location(fullname, self.so_path,
-                                                      loader=loader)
 
 
 def _has_prebuilt_kernel() -> bool:
@@ -64,48 +43,22 @@ def _has_prebuilt_kernel() -> bool:
                for suffix in importlib.machinery.EXTENSION_SUFFIXES)
 
 
-def _build_kernel(so_path: Path) -> str:
-    """Compile ``_kernel.c`` with setup.py into ``so_path``; return its log."""
-    work = BUILD_DIR / f"tmp-{os.getpid()}"
-    try:
-        proc = subprocess.run(
-            [sys.executable, "setup.py", "build_ext",
-             "--build-lib", str(work / "lib"),
-             "--build-temp", str(work / "temp")],
-            cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True)
-        built = work / "lib" / "godeaux" / f"_kernel{EXT_SUFFIX}"
-        if built.exists():
-            os.replace(built, so_path)
-        return proc.stdout
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
-
-
 def _provide_kernel() -> str:
     """Make the compiled kernel importable; say where it comes from."""
     if _has_prebuilt_kernel():
         return "prebuilt"
-    key = hashlib.sha256(KERNEL_C.read_bytes() + EXT_SUFFIX.encode())
-    so_path = BUILD_DIR / f"_kernel-{key.hexdigest()[:16]}{EXT_SUFFIX}"
-    if so_path.exists():
-        origin = "cached build of"
-    else:
-        BUILD_DIR.mkdir(exist_ok=True)
-        start = time.perf_counter()
-        log = _build_kernel(so_path)
-        if not so_path.exists():
-            tail = "\n".join(log.splitlines()[-30:])
-            reason = (f"setup.py build_ext built no kernel from {KERNEL_C}; "
-                      f"its output ends:\n{tail}")
-            warnings.warn(reason)
-            return reason
-        for stale in BUILD_DIR.glob(f"_kernel-*{EXT_SUFFIX}"):
-            if stale != so_path:
-                stale.unlink(missing_ok=True)
-        origin = f"built in {time.perf_counter() - start:.1f} s from"
-    sys.meta_path.insert(0, KernelFinder(str(so_path)))
-    return f"{origin} {KERNEL_C.relative_to(ROOT)}"
+    start = time.time()
+    try:
+        so_path = kernel_build.build(BUILD_DIR)
+    except kernel_build.BuildError as exc:
+        reason = f"no kernel built from {kernel_build.KERNEL_C}: {exc}"
+        warnings.warn(reason)
+        return reason
+    sys.meta_path.insert(0, kernel_build.KernelFinder(so_path))
+    source = kernel_build.KERNEL_C.relative_to(ROOT)
+    if so_path.stat().st_mtime < start:
+        return f"cached build of {source}"
+    return f"built in {time.time() - start:.1f} s from {source}"
 
 
 KERNEL_ORIGIN = _provide_kernel()

@@ -111,3 +111,46 @@ def groebner(gens, p, key):
         inv = pow(r[lg], p - 2, p)
         reduced.append({e: c * inv % p for e, c in r.items()})
     return reduced[::-1]
+
+
+def _monomials(n, degree):
+    """Every exponent tuple of ``n`` variables and total degree ``degree``."""
+    if n == 1:
+        return [(degree,)]
+    return [(a,) + rest for a in range(degree + 1)
+            for rest in _monomials(n - 1, degree - a)]
+
+
+def graded_kernel(images, degree, p, key):
+    """The reduced echelon basis of the degree-``degree`` part of the kernel
+    of the derivation x_i -> ``images[i]``: monic vectors, largest leading
+    monomial first.  Monomials are taken smallest first; each image is
+    reduced by its leading monomial against the images kept so far, its
+    preimage carried along, and an image reduced to 0 leaves a kernel
+    vector, reduced against the earlier ones.  A subtraction that leaves
+    the leading monomial in place raises instead of looping."""
+    zero = (0,) * len(images)
+    pivots, kernel = {}, []
+    for m in sorted(_monomials(len(images), degree), key=key):
+        image, pre = {}, {m: 1}
+        for i, g in enumerate(images):
+            if m[i] % p:
+                image = axpy(image, m[i], m[:i] + (m[i] - 1,) + m[i + 1:], g,
+                             p)
+        while image:
+            lm = max(image, key=key)
+            if lm not in pivots:
+                pivots[lm] = image, pre
+                break
+            g, h = pivots[lm]
+            c = p - image[lm] * pow(g[lm], p - 2, p) % p
+            image, pre = axpy(image, c, zero, g, p), axpy(pre, c, zero, h, p)
+            if lm in image:
+                raise ArithmeticError(f"the pivot at {lm} did not cancel")
+        else:
+            for v in kernel:
+                lv = max(v, key=key)
+                if lv in pre:
+                    pre = axpy(pre, p - pre[lv], zero, v, p)
+            kernel.append(pre)
+    return kernel[::-1]

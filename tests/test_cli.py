@@ -149,9 +149,39 @@ class TestReverify:
         assert main(["reverify", str(GOLDEN)]) == 0
 
 
+# Counts the run_all calls of one `verify --format json`, on stderr.
+_COUNT_RUN_ALL = """
+import sys
+from godeaux import cli
+
+calls, run_all = [], cli.run_all
+cli.run_all = lambda *a, **k: calls.append(1) or run_all(*a, **k)
+code = cli.main(["verify", "--format", "json"])
+print(len(calls), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 class TestClosedStdout:
     """A reader that stops early is not an error: the exit code is the
     command's own, with no error line and no traceback."""
+
+    @staticmethod
+    def _run(args, unbuffered=False):
+        """``python args`` writing to a pipe whose reader has closed."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC),
+                                             env.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run([sys.executable, *args], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, text=True,
+                                  timeout=120)
+        finally:
+            os.close(write)
 
     @pytest.mark.parametrize("unbuffered", [False, True],
                              ids=["buffered", "unbuffered"])
@@ -164,20 +194,13 @@ class TestClosedStdout:
             report.write_text(json.dumps(_tampered(*TAMPERINGS[0])))
         argv = (["verify", "--only", "C3"] if command == "verify-C3"
                 else ["reverify", str(report)])
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join([str(SRC),
-                                             env.get("PYTHONPATH", "")])
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "godeaux.cli", *argv],
-                                  stdout=write, stderr=subprocess.PIPE,
-                                  env=env, text=True, timeout=120)
-        finally:
-            os.close(write)
+        proc = self._run(["-m", "godeaux.cli", *argv], unbuffered)
         assert (proc.returncode, proc.stderr) == (code, "")
+
+    def test_closed_reader_computes_once(self):
+        # The report outgrows the output buffer, so its first write fails.
+        proc = self._run(["-c", _COUNT_RUN_ALL])
+        assert (proc.returncode, proc.stderr) == (0, "1\n")
 
 
 class TestKernel:

@@ -913,13 +913,12 @@ def test_certificate_pair_accounting(name):
 # alarm whose handler raises, and runs a lex system whose basis takes
 # minutes and ever more memory (capped at 1 GiB here) to compute.
 _INTERRUPT_CHILD = """
-import importlib.machinery, importlib.util, resource, signal, sys, time
+import resource, signal, sys, time
+from kernel_build import KernelFinder
 
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-loader = importlib.machinery.ExtensionFileLoader("godeaux._kernel", sys.argv[1])
-kernel = importlib.util.module_from_spec(
-    importlib.util.spec_from_loader("godeaux._kernel", loader))
-loader.exec_module(kernel)
+sys.meta_path.insert(0, KernelFinder(sys.argv[1]))
+from godeaux import _kernel as kernel
 
 from godeaux.rings import LEX, PolyRing, parse_poly
 
@@ -950,10 +949,10 @@ def test_compiled_kernel_is_interruptible():
     # 30 s timeout.
     if backend._compiled is None:
         pytest.skip("the compiled kernel is not built")
-    src = Path(godeaux.__file__).resolve().parent.parent
+    path = [Path(godeaux.__file__).resolve().parents[1], Path(__file__).parent]
     proc = subprocess.run(
         [sys.executable, "-c", _INTERRUPT_CHILD, backend._compiled.__file__],
         capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path))))
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 5.0, proc.stdout
