@@ -30,8 +30,11 @@ class BuildError(RuntimeError):
 
 
 def _run(cmd: list[str]) -> None:
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
+    try:
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+    except OSError as exc:  # no such compiler, or not executable
+        raise BuildError(f"{shlex.join(cmd)} failed: {exc}") from exc
     if proc.returncode:
         raise BuildError(f"{shlex.join(cmd)} failed:\n{proc.stdout}")
 
@@ -41,6 +44,9 @@ def build(out_dir, extra_flags=()) -> Path:
     ``extra_flags`` on both the compile and the link.  A new build
     replaces the earlier ones in ``out_dir``."""
     cfg, out_dir = sysconfig.get_config_var, Path(out_dir)
+    if not (cfg("CC") and cfg("LDSHARED")):
+        raise BuildError("the interpreter names no C compiler or linker "
+                         f"(CC={cfg('CC')!r}, LDSHARED={cfg('LDSHARED')!r})")
     compile_cmd = [*shlex.split(cfg("CC")), *shlex.split(cfg("CFLAGS") or ""),
                    *shlex.split(cfg("CCSHARED") or ""),
                    "-I" + sysconfig.get_paths()["include"], *extra_flags]
@@ -57,7 +63,8 @@ def build(out_dir, extra_flags=()) -> Path:
         _run([*compile_cmd, "-c", str(KERNEL_C), "-o", str(obj)])
         _run([*link_cmd, str(obj), "-o", str(partial)])
         for stale in out_dir.glob(f"_kernel-*{EXT_SUFFIX}"):
-            stale.unlink(missing_ok=True)
+            if stale != so_path:
+                stale.unlink(missing_ok=True)
         os.replace(partial, so_path)
     finally:
         obj.unlink(missing_ok=True)
